@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test vet race bench bench-core bench-shard bench-scale bench-hier check fmt-check regress regress-shard golden-update fuzz-smoke serve-smoke serve-golden-update cache-smoke crash-smoke coord-smoke hier-smoke hier-golden-update ci
+.PHONY: build test vet race stress bench bench-core bench-shard bench-scale bench-hier check fmt-check regress regress-shard golden-update fuzz-smoke serve-smoke serve-golden-update cache-smoke crash-smoke coord-smoke hier-smoke hier-golden-update ci
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,13 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# Flake gate: the concurrent and decode-path packages, ten times each under
+# the race detector. A test that fails one run in ten fails here, in the
+# change that introduces it.
+STRESS_PKGS = ./internal/server ./internal/coord ./internal/trace ./internal/rescache ./internal/mem
+stress:
+	$(GO) test -race -count=10 $(STRESS_PKGS)
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -144,4 +151,4 @@ hier-golden-update:
 		$(GO) build -o "$$tmp/sramd" ./cmd/sramd && \
 		$(GO) run ./cmd/sramload -hier-smoke -update -sramd "$$tmp/sramd"
 
-ci: build vet fmt-check race regress regress-shard serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke
+ci: build vet fmt-check race stress regress regress-shard serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke

@@ -1286,7 +1286,10 @@ func (c *client) sweepStatus(ctx context.Context, id string) (coord.SweepStatus,
 	return st, nil
 }
 
-// waitTerminal follows the job's SSE stream until a terminal status event.
+// waitTerminal follows the job's SSE stream until a "status" or "recovered"
+// frame carries a terminal status. A recovered job that finished before the
+// subscription opens its stream with a terminal "recovered" frame (DESIGN
+// §12); data lines of any other event are not job statuses and are skipped.
 func (c *client) waitTerminal(ctx context.Context, id string) (server.JobStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
@@ -1306,9 +1309,18 @@ func (c *client) waitTerminal(ctx context.Context, id string) (server.JobStatus,
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var last server.JobStatus
+	event := ""
 	for sc.Scan() {
 		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
+		if line == "" {
+			event = "" // a blank line ends the frame
+			continue
+		}
+		if strings.HasPrefix(line, "event: ") {
+			event = strings.TrimPrefix(line, "event: ")
+			continue
+		}
+		if !strings.HasPrefix(line, "data: ") || (event != "status" && event != "recovered") {
 			continue
 		}
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &last); err != nil {

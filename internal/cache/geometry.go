@@ -12,6 +12,7 @@ type Geometry struct {
 	Sets       int // derived: SizeBytes / (Ways * BlockBytes)
 
 	blockShift uint
+	tagShift   uint // blockShift + log2(Sets): the tag's lowest address bit
 	setMask    uint64
 }
 
@@ -39,12 +40,14 @@ func NewGeometry(sizeBytes, ways, blockBytes int) (Geometry, error) {
 		return Geometry{}, fmt.Errorf("cache: size %d smaller than one set (%d ways x %d B)", sizeBytes, ways, blockBytes)
 	}
 	sets := sizeBytes / (ways * blockBytes)
+	blockShift := log2(blockBytes)
 	return Geometry{
 		SizeBytes:  sizeBytes,
 		Ways:       ways,
 		BlockBytes: blockBytes,
 		Sets:       sets,
-		blockShift: log2(blockBytes),
+		blockShift: blockShift,
+		tagShift:   blockShift + log2(sets),
 		setMask:    uint64(sets - 1),
 	}, nil
 }
@@ -66,7 +69,7 @@ func (g Geometry) SetIndex(addr uint64) int {
 
 // Tag returns the tag bits of an address.
 func (g Geometry) Tag(addr uint64) uint64 {
-	return addr >> (g.blockShift + log2(g.Sets))
+	return addr >> g.tagShift
 }
 
 // BlockBase returns the address of the first byte of addr's block.
@@ -86,7 +89,7 @@ func (g Geometry) SetBytes() int { return g.Ways * g.BlockBytes }
 // TagBits returns the number of tag bits per block for a physical address of
 // paBits bits (paper §5.4 assumes 48).
 func (g Geometry) TagBits(paBits int) int {
-	bits := paBits - int(g.blockShift) - int(log2(g.Sets))
+	bits := paBits - int(g.tagShift)
 	if bits < 0 {
 		return 0
 	}
@@ -97,7 +100,7 @@ func (g Geometry) TagBits(paBits int) int {
 // index plus one tag per way, plus the Dirty bit and a valid bit (paper §5.4:
 // "less than 150 bits" for the baseline at 48-bit PA).
 func (g Geometry) TagBufferBits(paBits int) int {
-	return int(log2(g.Sets)) + g.Ways*g.TagBits(paBits) + 2
+	return int(g.tagShift-g.blockShift) + g.Ways*g.TagBits(paBits) + 2
 }
 
 // String renders like "64KB/4way/32B (512 sets)".

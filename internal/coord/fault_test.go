@@ -352,7 +352,18 @@ func TestDispatchTimesOutHangingWorker(t *testing.T) {
 	h := newHarness(t, cfg)
 
 	st := h.submit(tinySweep(1))
-	st = h.waitTerminal(st.ID, 10*time.Second)
+	// Advance in large steps only until the hung attempt has failed. The
+	// healthy attempt that follows runs the whole job inside its submit,
+	// and large steps while it runs would time it out as well.
+	deadline := time.Now().Add(testTimeout)
+	for st = h.status(st.ID); st.Retries == 0 && !st.State.Terminal(); st = h.status(st.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep %s: the hung attempt never timed out", st.ID)
+		}
+		h.clk.Advance(10 * time.Second)
+		time.Sleep(200 * time.Microsecond)
+	}
+	st = h.waitTerminal(st.ID, cfg.PollInterval)
 	if st.State != server.StateSucceeded {
 		t.Fatalf("sweep %s: %s (%s)", st.ID, st.State, st.Error)
 	}

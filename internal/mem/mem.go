@@ -4,8 +4,15 @@
 // real line data (so write-backs and fills move actual bytes), and silent
 // write detection (paper §3, Figure 5) must compare the value being stored
 // with the value already present. Memory is sparse — SPEC-like traces touch
-// tiny, scattered fractions of a 48-bit space — so storage is a map of
-// fixed-size chunks, with unbacked bytes reading as zero.
+// tiny, scattered fractions of a 48-bit space — so unbacked bytes read as
+// zero and storage is allocated in 64 B chunks on first write.
+//
+// Chunks hang off a two-level index: a map from 1 KiB-aligned base to a
+// directory of 16 lazily allocated chunk pointers, so a dense stream pays
+// one map entry per 16 chunks. The worst case, one backed chunk per
+// directory on fully scattered addresses, costs about 220 B of heap per
+// backed chunk (the 128 B directory, the chunk and its map entry); dense
+// streams cost less than a map of chunks would.
 package mem
 
 import (
@@ -16,24 +23,51 @@ import (
 // ChunkSize is the granularity of backing allocation, in bytes.
 const ChunkSize = 64
 
+const (
+	dirChunks = 16                    // chunk pointers per directory
+	dirBytes  = dirChunks * ChunkSize // address span of one directory
+)
+
+// dir holds the chunks of one dirBytes-aligned span; nil means unbacked.
+type dir [dirChunks]*[ChunkSize]byte
+
 // Memory is a sparse byte store. The zero value is not usable; call New.
 type Memory struct {
-	chunks map[uint64]*[ChunkSize]byte
+	dirs   map[uint64]*dir
+	chunks int // backed chunks across all directories
 }
 
 // New returns an empty memory.
 func New() *Memory {
-	return &Memory{chunks: make(map[uint64]*[ChunkSize]byte)}
+	return &Memory{dirs: make(map[uint64]*dir)}
+}
+
+// dirFor returns the directory holding addr, creating it when create is
+// set; otherwise it returns nil for an unbacked span.
+func (m *Memory) dirFor(addr uint64, create bool) *dir {
+	base := addr &^ uint64(dirBytes-1)
+	d := m.dirs[base]
+	if d == nil && create {
+		d = new(dir)
+		m.dirs[base] = d
+	}
+	return d
 }
 
 func (m *Memory) chunkFor(addr uint64, create bool) (*[ChunkSize]byte, uint64) {
-	base := addr &^ uint64(ChunkSize-1)
-	c := m.chunks[base]
+	off := addr & uint64(ChunkSize-1)
+	d := m.dirFor(addr, create)
+	if d == nil {
+		return nil, off
+	}
+	i := (addr / ChunkSize) % dirChunks
+	c := d[i]
 	if c == nil && create {
 		c = new([ChunkSize]byte)
-		m.chunks[base] = c
+		d[i] = c
+		m.chunks++
 	}
-	return c, addr - base
+	return c, off
 }
 
 // LoadByte returns the byte at addr (zero if unbacked).
@@ -60,9 +94,7 @@ func (m *Memory) Read(addr uint64, dst []byte) {
 			n = len(dst)
 		}
 		if c == nil {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		} else {
 			copy(dst, c[off:int(off)+n])
 		}
@@ -110,26 +142,41 @@ func (m *Memory) WouldBeSilent(addr uint64, size uint8, data uint64) bool {
 // Checkpoint serialization needs a deterministic iteration order; map range
 // order would make snapshot bytes differ between identical states.
 func (m *Memory) Bases() []uint64 {
-	bases := make([]uint64, 0, len(m.chunks))
-	for base := range m.chunks {
-		bases = append(bases, base)
+	dirBases := make([]uint64, 0, len(m.dirs))
+	for base := range m.dirs {
+		dirBases = append(dirBases, base)
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	sort.Slice(dirBases, func(i, j int) bool { return dirBases[i] < dirBases[j] })
+	bases := make([]uint64, 0, m.chunks)
+	for _, base := range dirBases {
+		for i, c := range m.dirs[base] {
+			if c != nil {
+				bases = append(bases, base+uint64(i)*ChunkSize)
+			}
+		}
+	}
 	return bases
 }
 
 // FootprintBytes returns the number of backed bytes.
 func (m *Memory) FootprintBytes() uint64 {
-	return uint64(len(m.chunks)) * ChunkSize
+	return uint64(m.chunks) * ChunkSize
 }
 
 // Clone returns a deep copy of the memory image. Used by correctness property
 // tests to run two controllers from identical initial state.
 func (m *Memory) Clone() *Memory {
 	out := New()
-	for base, c := range m.chunks {
-		dup := *c
-		out.chunks[base] = &dup
+	out.chunks = m.chunks
+	for base, d := range m.dirs {
+		var dup dir
+		for i, c := range d {
+			if c != nil {
+				cc := *c
+				dup[i] = &cc
+			}
+		}
+		out.dirs[base] = &dup
 	}
 	return out
 }
@@ -141,16 +188,25 @@ func (m *Memory) Equal(other *Memory) bool {
 }
 
 func (m *Memory) coveredBy(other *Memory) bool {
-	for base, c := range m.chunks {
-		oc := other.chunks[base]
-		if oc == nil {
-			if *c != ([ChunkSize]byte{}) {
+	for base, d := range m.dirs {
+		od := other.dirs[base]
+		for i, c := range d {
+			if c == nil {
+				continue
+			}
+			var oc *[ChunkSize]byte
+			if od != nil {
+				oc = od[i]
+			}
+			if oc == nil {
+				if *c != ([ChunkSize]byte{}) {
+					return false
+				}
+				continue
+			}
+			if *c != *oc {
 				return false
 			}
-			continue
-		}
-		if *c != *oc {
-			return false
 		}
 	}
 	return true

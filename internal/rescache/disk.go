@@ -175,7 +175,7 @@ func (d *Disk) scan() error {
 			os.Remove(path)
 			continue
 		}
-		digest, ok := d.readLink(path)
+		digest, _, ok := d.readLink(path)
 		if !ok {
 			os.Remove(path)
 			continue
@@ -250,19 +250,20 @@ func isHexDigest(s string) bool {
 	return true
 }
 
-// readLink parses a key-link file; ok is false when the content is not a
-// well-formed "sha256:<hex>" reference.
-func (d *Disk) readLink(path string) (digest string, ok bool) {
+// readLink parses a key-link file. read is false when the file could not
+// be read; ok is false when it is unread or not a well-formed
+// "sha256:<hex>" reference.
+func (d *Disk) readLink(path string) (digest string, read, ok bool) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return "", false
+		return "", false, false
 	}
 	s := strings.TrimSpace(string(b))
 	if !strings.HasPrefix(s, blobPrefix) {
-		return "", false
+		return "", true, false
 	}
 	digest = strings.TrimPrefix(s, blobPrefix)
-	return digest, isHexDigest(digest)
+	return digest, true, isHexDigest(digest)
 }
 
 // Get returns the blob linked from key after re-verifying its content hash
@@ -272,9 +273,11 @@ func (d *Disk) readLink(path string) (digest string, ok bool) {
 // damaged artifact.
 func (d *Disk) Get(key string) ([]byte, bool) {
 	kpath := filepath.Join(d.keyDir(), normKey(key))
-	digest, ok := d.readLink(kpath)
+	digest, read, ok := d.readLink(kpath)
 	if !ok {
-		if _, err := os.Stat(kpath); err == nil {
+		// Judge the bytes read, not a later look at the path: a concurrent
+		// Put may rename a valid link in between.
+		if read {
 			// The link exists but is malformed — evict it.
 			d.mu.Lock()
 			d.corrupt++
@@ -387,7 +390,7 @@ func (d *Disk) sweepLocked() {
 	if kents, err := os.ReadDir(d.keyDir()); err == nil {
 		for _, ke := range kents {
 			path := filepath.Join(d.keyDir(), ke.Name())
-			if digest, ok := d.readLink(path); ok && dropped[digest] {
+			if digest, _, ok := d.readLink(path); ok && dropped[digest] {
 				os.Remove(path)
 			}
 		}

@@ -99,6 +99,11 @@ type Cache struct {
 	dedups      atomic.Uint64
 	bytesServed atomic.Uint64
 	putErrors   atomic.Uint64
+	waiting     atomic.Int64
+
+	// missed, when set (package tests only), runs in Do between a tier
+	// miss and taking the lock.
+	missed func()
 }
 
 // call is one in-flight computation other callers can wait on.
@@ -186,11 +191,16 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, erro
 		if blob, _, ok := c.Get(key); ok {
 			return blob, true, nil
 		}
+		if c.missed != nil {
+			c.missed()
+		}
 		c.mu.Lock()
 		if cl, ok := c.calls[key]; ok {
 			c.mu.Unlock()
+			c.waiting.Add(1)
 			select {
 			case <-cl.done:
+				c.waiting.Add(-1)
 				if cl.err == nil {
 					c.dedups.Add(1)
 					c.bytesServed.Add(uint64(len(cl.blob)))
@@ -204,8 +214,16 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, erro
 				}
 				return nil, false, cl.err
 			case <-ctx.Done():
+				c.waiting.Add(-1)
 				return nil, false, ctx.Err()
 			}
+		}
+		// A leader may have stored its result and dropped its entry between
+		// the Get above and the lock. It drops the entry only after both
+		// tiers are written, so a second look under the lock finds it.
+		if blob, _, ok := c.Get(key); ok {
+			c.mu.Unlock()
+			return blob, true, nil
 		}
 		cl := &call{done: make(chan struct{}), err: errAborted}
 		c.calls[key] = cl
@@ -217,9 +235,18 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, erro
 			// keeps errAborted), so waiters are always released and a
 			// contained panic never wedges the key.
 			defer func() {
-				c.mu.Lock()
-				delete(c.calls, key)
-				c.mu.Unlock()
+				if cl.err == nil {
+					// Release the waiters first, then store. The entry
+					// stays until both tiers are written, so a late
+					// caller finds either it or a tier hit, never a gap.
+					close(cl.done)
+					c.Put(key, cl.blob)
+					c.dropCall(key)
+					return
+				}
+				// Drop the entry before the wake-up so retrying waiters
+				// elect a new leader instead of finding this call again.
+				c.dropCall(key)
 				close(cl.done)
 			}()
 			cl.blob, cl.err = compute()
@@ -227,9 +254,14 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, erro
 		if cl.err != nil {
 			return nil, false, cl.err
 		}
-		c.Put(key, cl.blob)
 		return cl.blob, false, nil
 	}
+}
+
+func (c *Cache) dropCall(key string) {
+	c.mu.Lock()
+	delete(c.calls, key)
+	c.mu.Unlock()
 }
 
 // Snapshot is a point-in-time view of the cache's counters and per-tier
@@ -245,6 +277,8 @@ type Snapshot struct {
 	BytesServed uint64
 	// PutErrors counts disk-tier writes that failed (memory still served).
 	PutErrors uint64
+	// Waiting is the number of callers blocked on an in-flight computation.
+	Waiting int64
 
 	// Per-tier occupancy and churn.
 	MemEntries   int
@@ -275,6 +309,7 @@ func (c *Cache) Snapshot() Snapshot {
 		Dedups:      c.dedups.Load(),
 		BytesServed: c.bytesServed.Load(),
 		PutErrors:   c.putErrors.Load(),
+		Waiting:     c.waiting.Load(),
 		Dir:         c.dir,
 	}
 	s.MemEntries, s.MemBytes, s.MemCapBytes, s.MemEvictions = c.mem.Stats()

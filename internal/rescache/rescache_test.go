@@ -265,52 +265,121 @@ func TestRefusesForeignDirectory(t *testing.T) {
 	}
 }
 
+// TestDoSingleflight runs one computation for many concurrent callers. The
+// callers that arrive after it finished must find the stored result, also
+// when only the disk tier can hold it.
 func TestDoSingleflight(t *testing.T) {
-	c := mustOpen(t, Config{})
-	key := hexKey("flight")
-	var computes atomic.Int32
-	started := make(chan struct{})
-	release := make(chan struct{})
+	for _, tc := range []struct {
+		name string
+		cfg  func(t *testing.T) Config
+	}{
+		{"memory", func(*testing.T) Config { return Config{} }},
+		{"disk-only", func(t *testing.T) Config { return Config{Dir: t.TempDir(), MemBytes: 1} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mustOpen(t, tc.cfg(t))
+			key := hexKey("flight")
+			var computes atomic.Int32
+			started := make(chan struct{})
+			release := make(chan struct{})
 
-	const waiters = 8
-	var wg sync.WaitGroup
-	results := make([][]byte, waiters)
-	errs := make([]error, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			blob, _, err := c.Do(context.Background(), key, func() ([]byte, error) {
-				if computes.Add(1) == 1 {
-					close(started)
+			const waiters = 8
+			var wg sync.WaitGroup
+			results := make([][]byte, waiters)
+			errs := make([]error, waiters)
+			for i := 0; i < waiters; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					blob, _, err := c.Do(context.Background(), key, func() ([]byte, error) {
+						if computes.Add(1) == 1 {
+							close(started)
+						}
+						<-release
+						return []byte("the one result"), nil
+					})
+					results[i], errs[i] = blob, err
+				}(i)
+			}
+			<-started
+			close(release)
+			wg.Wait()
+
+			if n := computes.Load(); n != 1 {
+				t.Fatalf("compute ran %d times, want 1", n)
+			}
+			for i := 0; i < waiters; i++ {
+				if errs[i] != nil {
+					t.Fatalf("waiter %d: %v", i, errs[i])
 				}
-				<-release
-				return []byte("the one result"), nil
-			})
-			results[i], errs[i] = blob, err
-		}(i)
+				if string(results[i]) != "the one result" {
+					t.Fatalf("waiter %d got %q", i, results[i])
+				}
+			}
+			s := c.Snapshot()
+			if s.Misses != 1 {
+				t.Fatalf("Misses = %d, want 1", s.Misses)
+			}
+			if got := s.Hits() + s.Dedups; got != waiters-1 {
+				t.Fatalf("hits+dedups = %d, want %d", got, waiters-1)
+			}
+			if s.Waiting != 0 {
+				t.Fatalf("Waiting = %d after every caller returned, want 0", s.Waiting)
+			}
+		})
 	}
-	<-started
-	close(release)
-	wg.Wait()
+}
 
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("compute ran %d times, want 1", n)
-	}
-	for i := 0; i < waiters; i++ {
-		if errs[i] != nil {
-			t.Fatalf("waiter %d: %v", i, errs[i])
-		}
-		if string(results[i]) != "the one result" {
-			t.Fatalf("waiter %d got %q", i, results[i])
-		}
-	}
-	s := c.Snapshot()
-	if s.Misses != 1 {
-		t.Fatalf("Misses = %d, want 1", s.Misses)
-	}
-	if got := s.Hits() + s.Dedups; got != waiters-1 {
-		t.Fatalf("hits+dedups = %d, want %d", got, waiters-1)
+// TestDoLateCallerFindsStoredResult holds a caller between its tier miss and
+// the lock while a leader computes, stores and drops its in-flight entry.
+// The late caller must serve the stored result rather than compute again,
+// also when only the disk tier can hold it.
+func TestDoLateCallerFindsStoredResult(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func(t *testing.T) Config
+	}{
+		{"memory", func(*testing.T) Config { return Config{} }},
+		{"disk-only", func(t *testing.T) Config { return Config{Dir: t.TempDir(), MemBytes: 1} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mustOpen(t, tc.cfg(t))
+			key := hexKey("late")
+			var computes, misses atomic.Int32
+			compute := func() ([]byte, error) {
+				computes.Add(1)
+				return []byte("stored"), nil
+			}
+			held, resume := make(chan struct{}), make(chan struct{})
+			c.missed = func() {
+				if misses.Add(1) == 1 {
+					close(held)
+					<-resume
+				}
+			}
+			type result struct {
+				blob   []byte
+				cached bool
+				err    error
+			}
+			late := make(chan result, 1)
+			go func() {
+				blob, cached, err := c.Do(context.Background(), key, compute)
+				late <- result{blob, cached, err}
+			}()
+			<-held
+			if _, cached, err := c.Do(context.Background(), key, compute); err != nil || cached {
+				t.Fatalf("leader: cached=%v err=%v, want a fresh computation", cached, err)
+			}
+			close(resume)
+			r := <-late
+			if r.err != nil || !r.cached || string(r.blob) != "stored" {
+				t.Fatalf("late caller: blob=%q cached=%v err=%v, want the stored result", r.blob, r.cached, r.err)
+			}
+			if n := computes.Load(); n != 1 {
+				t.Fatalf("compute ran %d times, want 1", n)
+			}
+		})
 	}
 }
 

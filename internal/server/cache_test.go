@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cache8t/internal/rescache"
 	"cache8t/internal/trace"
@@ -129,6 +130,15 @@ func TestCacheSingleflight(t *testing.T) {
 	leader := ts.submitJob(body)
 	<-g.entered // the leader is mid-simulation; nothing is cached yet
 	follower := ts.submitJob(body)
+	// Release the leader only once the follower is blocked on its in-flight
+	// computation, so the follower shares it rather than finding it already
+	// finished and served from the memory tier.
+	for deadline := time.Now().Add(10 * time.Second); rc.Snapshot().Waiting != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never joined the in-flight computation")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(g.release)
 
 	lFinal := ts.waitTerminal(leader.ID)
@@ -294,6 +304,7 @@ func TestSpoolCleanup(t *testing.T) {
 	if final := ts.waitTerminal(st.ID); final.State != StateSucceeded {
 		t.Fatalf("trace job ended %s: %s", final.State, final.Error)
 	}
+	ts.settled()
 	if left := spoolFiles(t, spool); len(left) != 0 {
 		t.Fatalf("spool leak after success: %v", left)
 	}
@@ -321,6 +332,7 @@ func TestSpoolCleanup(t *testing.T) {
 	if final := ts.waitTerminal(st.ID); final.State != StateCancelled {
 		t.Fatalf("cancelled trace job ended %s", final.State)
 	}
+	ts.settled()
 	if left := spoolFiles(t, spool); len(left) != 0 {
 		t.Fatalf("spool leak after cancellation: %v", left)
 	}

@@ -141,6 +141,8 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, queueCap int, accepting 
 		fmt.Fprintf(w, "# TYPE rescache_misses_total counter\nrescache_misses_total %d\n", cache.Misses)
 		fmt.Fprintf(w, "# HELP rescache_dedup_total Jobs that shared an identical in-flight computation (singleflight).\n")
 		fmt.Fprintf(w, "# TYPE rescache_dedup_total counter\nrescache_dedup_total %d\n", cache.Dedups)
+		fmt.Fprintf(w, "# HELP rescache_waiting Jobs blocked on an identical in-flight computation.\n")
+		fmt.Fprintf(w, "# TYPE rescache_waiting gauge\nrescache_waiting %d\n", cache.Waiting)
 		fmt.Fprintf(w, "# HELP rescache_bytes_served_total Artifact bytes served from the cache.\n")
 		fmt.Fprintf(w, "# TYPE rescache_bytes_served_total counter\nrescache_bytes_served_total %d\n", cache.BytesServed)
 		fmt.Fprintf(w, "# HELP rescache_put_errors_total Disk-tier writes that failed (memory tier still served).\n")

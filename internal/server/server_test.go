@@ -123,15 +123,33 @@ func (ts *testServer) submitJob(body string) JobStatus {
 	if err := json.Unmarshal(b, &st); err != nil {
 		ts.t.Fatal(err)
 	}
-	if st.ID == "" || st.State != StateQueued || st.ConfigHash == "" {
+	// The 202 carries the job's state when the response is written: a
+	// worker may already have started, or even finished, the job by then.
+	switch st.State {
+	case StateQueued, StateRunning, StateSucceeded, StateFailed, StateCancelled:
+	default:
+		ts.t.Fatalf("bad 202 status: %+v", st)
+	}
+	if st.ID == "" || st.ConfigHash == "" {
 		ts.t.Fatalf("bad 202 status: %+v", st)
 	}
 	return st
 }
 
-// waitTerminal follows the job's SSE stream until a terminal event —
-// event-driven, no polling, no sleeps.
+// waitTerminal follows the job's SSE stream until a frame carries a
+// terminal status — event-driven, no polling, no sleeps.
 func (ts *testServer) waitTerminal(id string) JobStatus {
+	ts.t.Helper()
+	return ts.waitFor(id, State.Terminal)
+}
+
+// waitFor follows the job's SSE stream until a frame's status satisfies
+// reached. It tracks each frame's event name the way collectEvents does: a
+// recovered job that finished before the subscription opens its stream with
+// a "recovered" frame that is already terminal (DESIGN §12), and that frame
+// ends the wait. A data line outside a "status" or "recovered" frame fails
+// the test.
+func (ts *testServer) waitFor(id string, reached func(State) bool) JobStatus {
 	ts.t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
 	defer cancel()
@@ -147,30 +165,53 @@ func (ts *testServer) waitTerminal(id string) JobStatus {
 	if resp.StatusCode != http.StatusOK {
 		ts.t.Fatalf("events: %s", resp.Status)
 	}
-	sawEvent := false
+	event := ""
 	sc := bufio.NewScanner(resp.Body)
 	var st JobStatus
 	for sc.Scan() {
 		line := sc.Text()
-		if line == "event: status" {
-			sawEvent = true
+		if line == "" {
+			event = "" // a blank line ends the frame
+			continue
+		}
+		if strings.HasPrefix(line, "event: ") {
+			event = strings.TrimPrefix(line, "event: ")
 			continue
 		}
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
+		if event != "status" && event != "recovered" {
+			ts.t.Fatalf("SSE data arrived in a frame with event %q, want status or recovered", event)
+		}
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &st); err != nil {
 			ts.t.Fatalf("bad SSE data line: %v", err)
 		}
-		if st.State.Terminal() {
-			if !sawEvent {
-				ts.t.Fatal("SSE data arrived without an event: status line")
-			}
+		if reached(st.State) {
 			return st
 		}
 	}
 	ts.t.Fatalf("event stream for %s ended in state %q (err %v)", id, st.State, sc.Err())
 	return st
+}
+
+// settled waits until the server has finished with every job it accepted.
+// finishJob publishes a terminal state to watchers before it counts the job
+// in /metrics and removes its spool file, so a test that checks either
+// after waitTerminal waits here first. Call it only when no job is left
+// queued or running.
+func (ts *testServer) settled() {
+	ts.t.Helper()
+	done := make(chan struct{})
+	go func() {
+		ts.srv.jobWG.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(testTimeout):
+		ts.t.Fatal("jobs still in flight")
+	}
 }
 
 func (ts *testServer) get(path string) (int, []byte) {
@@ -618,6 +659,7 @@ func TestHealthAndMetrics(t *testing.T) {
 	if final := ts.waitTerminal(st.ID); final.State != StateSucceeded {
 		t.Fatalf("job ended %s: %s", final.State, final.Error)
 	}
+	ts.settled()
 
 	code, b := ts.get("/healthz")
 	if code != http.StatusOK {

@@ -174,15 +174,19 @@ func (tr *Reader) Next() (Access, bool) {
 		tr.err = truncated(err)
 		return Access{}, false
 	}
-	addr := tr.prevAddr + uint64(unzigzag(delta))
-	tr.prevAddr = addr
+	tr.prevAddr += uint64(unzigzag(delta))
+	return record(head, tr.prevAddr, gap, data), true
+}
+
+// record builds the access a decoded record describes.
+func record(head byte, addr, gap, data uint64) Access {
 	return Access{
 		Kind: Kind(head & 1),
 		Size: 1 << ((head >> 1) & 3),
 		Addr: addr,
 		Gap:  uint32(gap),
 		Data: data,
-	}, true
+	}
 }
 
 // ReadBatch decodes up to len(dst) accesses into dst and returns how many it
@@ -192,6 +196,12 @@ func (tr *Reader) Next() (Access, bool) {
 func (tr *Reader) ReadBatch(dst []Access) int {
 	n := 0
 	for n < len(dst) {
+		if tr.started && tr.err == nil {
+			n += tr.decodeBuffered(dst[n:])
+			if n == len(dst) {
+				break
+			}
+		}
 		a, ok := tr.Next()
 		if !ok {
 			break
@@ -199,6 +209,42 @@ func (tr *Reader) ReadBatch(dst []Access) int {
 		dst[n] = a
 		n++
 	}
+	return n
+}
+
+// maxRecord is the longest well-formed record: the head byte and three
+// maximal varints.
+const maxRecord = 1 + 3*binary.MaxVarintLen64
+
+// decodeBuffered decodes records straight out of the bufio window, without
+// filling it, while at least maxRecord bytes are buffered, so no record it
+// starts can run past the window. It stops at the first malformed varint
+// and leaves that record, like any record near the window's end, to Next:
+// every error then surfaces exactly as Next reports it.
+func (tr *Reader) decodeBuffered(dst []Access) int {
+	buf, _ := tr.r.Peek(tr.r.Buffered())
+	n, pos, addr := 0, 0, tr.prevAddr
+	for n < len(dst) && len(buf)-pos >= maxRecord {
+		head := buf[pos]
+		delta, k1 := binary.Uvarint(buf[pos+1:])
+		if k1 <= 0 {
+			break
+		}
+		gap, k2 := binary.Uvarint(buf[pos+1+k1:])
+		if k2 <= 0 {
+			break
+		}
+		data, k3 := binary.Uvarint(buf[pos+1+k1+k2:])
+		if k3 <= 0 {
+			break
+		}
+		addr += uint64(unzigzag(delta))
+		dst[n] = record(head, addr, gap, data)
+		n++
+		pos += 1 + k1 + k2 + k3
+	}
+	tr.r.Discard(pos)
+	tr.prevAddr = addr
 	return n
 }
 

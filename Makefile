@@ -23,7 +23,7 @@ race:
 # Flake gate: the concurrent and decode-path packages, ten times each under
 # the race detector. A test that fails one run in ten fails here, in the
 # change that introduces it.
-STRESS_PKGS = ./internal/server ./internal/coord ./internal/trace ./internal/rescache ./internal/mem
+STRESS_PKGS = ./internal/server ./internal/coord ./internal/trace ./internal/rescache ./internal/mem ./internal/core ./internal/hier
 stress:
 	$(GO) test -race -count=10 $(STRESS_PKGS)
 

@@ -86,10 +86,18 @@ func DefaultConfig() Config {
 // Cache is a set-associative, write-back data cache backed by a shadow
 // memory; write-allocate by default, write-around when Config.NoWriteAllocate
 // is set.
+//
+// Layout: every line lives in one set-major slice (set s's ways are
+// lines[s*Ways : (s+1)*Ways]) over one contiguous data array, and tags is a
+// probe index beside it holding Tag|validBit per valid way (0 for an
+// invalid one), so a lookup or a free-way scan reads Ways contiguous words.
+// Every structural change (fill, eviction, RestoreSet) goes through the
+// methods below, which keep the index in step with the lines.
 type Cache struct {
-	geom     Geometry
-	sets     [][]Line
-	policies []policy
+	geom  Geometry
+	lines []Line
+	tags  []uint64
+	repl  replacer
 	// rand is the RNG shared by every set's Random replacement policy
 	// (unused by the deterministic policies). Retained so checkpointing can
 	// capture and restore its state.
@@ -99,6 +107,10 @@ type Cache struct {
 	noAlloc  bool
 	listener Listener
 }
+
+// validBit marks a valid way in the probe index. Tags are addresses
+// shifted right by at least three bits, so they never reach bit 63.
+const validBit = 1 << 63
 
 // SetListener attaches (or, with nil, detaches) the block-traffic observer.
 // At most one listener is supported; internal/hier uses it to drive an L2.
@@ -114,24 +126,30 @@ func New(cfg Config, backing *mem.Memory) (*Cache, error) {
 		return nil, fmt.Errorf("cache: nil backing memory")
 	}
 	r := rng.New(cfg.Seed)
+	n := geom.Sets * geom.Ways
 	c := &Cache{
-		geom:     geom,
-		sets:     make([][]Line, geom.Sets),
-		policies: make([]policy, geom.Sets),
-		rand:     r,
-		backing:  backing,
-		noAlloc:  cfg.NoWriteAllocate,
+		geom:    geom,
+		lines:   make([]Line, n),
+		tags:    make([]uint64, n),
+		repl:    newReplacer(cfg.Policy, geom.Sets, geom.Ways, r),
+		rand:    r,
+		backing: backing,
+		noAlloc: cfg.NoWriteAllocate,
 	}
-	data := make([]byte, geom.Sets*geom.Ways*geom.BlockBytes)
-	for s := range c.sets {
-		ways := make([]Line, geom.Ways)
-		for w := range ways {
-			ways[w].Data, data = data[:geom.BlockBytes], data[geom.BlockBytes:]
-		}
-		c.sets[s] = ways
-		c.policies[s] = newPolicy(cfg.Policy, geom.Ways, r)
+	data := make([]byte, n*geom.BlockBytes)
+	for i := range c.lines {
+		c.lines[i].Data, data = data[:geom.BlockBytes:geom.BlockBytes], data[geom.BlockBytes:]
 	}
 	return c, nil
+}
+
+// line returns the line in way of set.
+func (c *Cache) line(set, way int) *Line { return &c.lines[set*c.geom.Ways+way] }
+
+// setTags returns set's slice of the probe index.
+func (c *Cache) setTags(set int) []uint64 {
+	i := set * c.geom.Ways
+	return c.tags[i : i+c.geom.Ways]
 }
 
 // Geometry returns the cache shape.
@@ -146,12 +164,12 @@ func (c *Cache) RestoreStats(s Stats) { c.stats = s }
 
 // PolicyState returns set s's replacement state as an opaque word slice
 // (empty for stateless policies). Paired with RestorePolicyState.
-func (c *Cache) PolicyState(s int) []uint32 { return c.policies[s].state() }
+func (c *Cache) PolicyState(s int) []uint32 { return c.repl.state(s) }
 
 // RestorePolicyState replaces set s's replacement state with one captured by
 // PolicyState on a cache of the same configuration.
 func (c *Cache) RestorePolicyState(s int, st []uint32) error {
-	return c.policies[s].restore(st)
+	return c.repl.restore(s, st)
 }
 
 // RNGState returns the state of the RNG shared by the Random replacement
@@ -180,7 +198,7 @@ func (c *Cache) WriteAround(addr uint64, size uint8, data uint64) {
 	for i := 0; i < int(size); i++ {
 		b := addr + uint64(i)
 		if set, way, hit := c.Probe(b); hit {
-			l := &c.sets[set][way]
+			l := c.line(set, way)
 			off := c.geom.BlockOffset(b)
 			if l.Data[off] != buf[i] {
 				l.Data[off] = buf[i]
@@ -196,9 +214,9 @@ func (c *Cache) WriteAround(addr uint64, size uint8, data uint64) {
 // way holding the block (-1 on miss), and whether it hit.
 func (c *Cache) Probe(addr uint64) (set, way int, hit bool) {
 	set = c.geom.SetIndex(addr)
-	tag := c.geom.Tag(addr)
-	for w := range c.sets[set] {
-		if l := &c.sets[set][w]; l.Valid && l.Tag == tag {
+	want := c.geom.Tag(addr) | validBit
+	for w, t := range c.setTags(set) {
+		if t == want {
 			return set, w, true
 		}
 	}
@@ -222,7 +240,7 @@ func (c *Cache) Ensure(addr uint64, isWrite bool) (set, way int, hit bool) {
 		c.stats.ReadMisses++
 	}
 	if hit {
-		c.policies[set].Touch(way)
+		c.repl.Touch(set, way)
 		return set, way, true
 	}
 	way = c.fill(set, c.geom.Tag(addr), c.geom.BlockBase(addr))
@@ -232,32 +250,35 @@ func (c *Cache) Ensure(addr uint64, isWrite bool) (set, way int, hit bool) {
 // fill victimizes a way in set and loads the block at base into it.
 func (c *Cache) fill(set int, tag, base uint64) int {
 	way := -1
-	for w := range c.sets[set] {
-		if !c.sets[set][w].Valid {
+	for w, t := range c.setTags(set) {
+		if t&validBit == 0 {
 			way = w
 			break
 		}
 	}
 	if way < 0 {
-		way = c.policies[set].Victim()
+		way = c.repl.Victim(set)
 		c.evict(set, way)
 	}
-	l := &c.sets[set][way]
+	i := set*c.geom.Ways + way
+	l := &c.lines[i]
 	c.backing.Read(base, l.Data)
 	l.Tag = tag
 	l.Valid = true
 	l.Dirty = false
+	c.tags[i] = tag | validBit
 	c.stats.Fills++
 	if c.listener != nil {
 		c.listener.Fill(base)
 	}
-	c.policies[set].Insert(way)
+	c.repl.Insert(set, way)
 	return way
 }
 
 // evict writes back way's line if dirty and invalidates it.
 func (c *Cache) evict(set, way int) {
-	l := &c.sets[set][way]
+	i := set*c.geom.Ways + way
+	l := &c.lines[i]
 	if !l.Valid {
 		return
 	}
@@ -271,6 +292,7 @@ func (c *Cache) evict(set, way int) {
 	}
 	l.Valid = false
 	l.Dirty = false
+	c.tags[i] = 0
 	c.stats.Evictions++
 }
 
@@ -282,7 +304,7 @@ func (c *Cache) lineBase(set int, tag uint64) uint64 {
 // ReadWord reads size bytes at addr from the resident line (set, way).
 // The caller must have established residency via Ensure.
 func (c *Cache) ReadWord(set, way int, addr uint64, size uint8) uint64 {
-	l := &c.sets[set][way]
+	l := c.line(set, way)
 	off := c.geom.BlockOffset(addr)
 	var buf [8]byte
 	n := copy(buf[:size], l.Data[off:])
@@ -300,7 +322,7 @@ func (c *Cache) readSpill(addr uint64, n int) []byte {
 	out := make([]byte, n)
 	if set, way, hit := c.Probe(addr); hit {
 		off := c.geom.BlockOffset(addr)
-		copy(out, c.sets[set][way].Data[off:off+n])
+		copy(out, c.line(set, way).Data[off:off+n])
 		return out
 	}
 	c.backing.Read(addr, out)
@@ -311,7 +333,7 @@ func (c *Cache) readSpill(addr uint64, n int) []byte {
 // (set, way), marking it dirty if the content changed. It reports whether the
 // write was silent (stored value identical to the previous content).
 func (c *Cache) WriteWord(set, way int, addr uint64, size uint8, data uint64) (silent bool) {
-	l := &c.sets[set][way]
+	l := c.line(set, way)
 	off := c.geom.BlockOffset(addr)
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], data)
@@ -338,9 +360,9 @@ func (c *Cache) WriteWord(set, way int, addr uint64, size uint8, data uint64) (s
 
 func (c *Cache) writeSpill(addr uint64, src []byte) {
 	if set, way, hit := c.Probe(addr); hit {
-		off := c.geom.BlockOffset(addr)
-		copy(c.sets[set][way].Data[off:], src)
-		c.sets[set][way].Dirty = true
+		l := c.line(set, way)
+		copy(l.Data[c.geom.BlockOffset(addr):], src)
+		l.Dirty = true
 		return
 	}
 	c.backing.Write(addr, src)
@@ -359,24 +381,27 @@ func (c *Cache) PeekWord(addr uint64, size uint8) uint64 {
 
 func (c *Cache) peekByte(addr uint64) byte {
 	if set, way, hit := c.Probe(addr); hit {
-		return c.sets[set][way].Data[c.geom.BlockOffset(addr)]
+		return c.line(set, way).Data[c.geom.BlockOffset(addr)]
 	}
 	return c.backing.LoadByte(addr)
 }
 
-// Set returns the lines of set s. Controllers use this to model the
-// Set-Buffer (a copy of one whole set row); mutating the returned slice
-// mutates the cache.
-func (c *Cache) Set(s int) []Line { return c.sets[s] }
+// setLines returns set s's lines.
+func (c *Cache) setLines(s int) []Line {
+	i := s * c.geom.Ways
+	return c.lines[i : i+c.geom.Ways]
+}
 
-// SnapshotSet deep-copies set s — filling the Set-Buffer.
+// SnapshotSet deep-copies set s — filling the Set-Buffer. Reading a set
+// always goes through a copy: the cache's own lines change only through its
+// methods, which keep the probe index in step.
 func (c *Cache) SnapshotSet(s int) []Line {
-	src := c.sets[s]
+	src := c.setLines(s)
 	out := make([]Line, len(src))
 	data := make([]byte, len(src)*c.geom.BlockBytes)
 	for w := range src {
 		out[w] = src[w]
-		out[w].Data, data = data[:c.geom.BlockBytes], data[c.geom.BlockBytes:]
+		out[w].Data, data = data[:c.geom.BlockBytes:c.geom.BlockBytes], data[c.geom.BlockBytes:]
 		copy(out[w].Data, src[w].Data)
 	}
 	return out
@@ -387,7 +412,7 @@ func (c *Cache) SnapshotSet(s int) []Line {
 // dst must have come from SnapshotSet on a cache of the same shape; anything
 // else (nil included) falls back to a fresh snapshot.
 func (c *Cache) SnapshotSetInto(s int, dst []Line) []Line {
-	src := c.sets[s]
+	src := c.setLines(s)
 	if len(dst) != len(src) {
 		return c.SnapshotSet(s)
 	}
@@ -403,24 +428,30 @@ func (c *Cache) SnapshotSetInto(s int, dst []Line) []Line {
 	return dst
 }
 
-// RestoreSet copies buffered lines back into set s — the Set-Buffer
-// write-back. Only data and dirty bits move; the protocol in internal/core
-// guarantees no structural (tag/valid) change can occur while a set is
-// buffered.
+// RestoreSet copies lines back into set s: data, dirty bits, tags and valid
+// bits. It is the Set-Buffer write-back (where the protocol in
+// internal/core guarantees the tags and valid bits are unchanged) and the
+// way checkpoint restore rebuilds a set; either way the probe index is
+// rebuilt from the restored lines.
 func (c *Cache) RestoreSet(s int, lines []Line) {
-	dst := c.sets[s]
-	for w := range dst {
-		copy(dst[w].Data, lines[w].Data)
-		dst[w].Dirty = lines[w].Dirty
-		dst[w].Tag = lines[w].Tag
-		dst[w].Valid = lines[w].Valid
+	for w := range c.setLines(s) {
+		i := s*c.geom.Ways + w
+		dst := &c.lines[i]
+		copy(dst.Data, lines[w].Data)
+		dst.Dirty = lines[w].Dirty
+		dst.Tag = lines[w].Tag
+		dst.Valid = lines[w].Valid
+		c.tags[i] = 0
+		if dst.Valid {
+			c.tags[i] = dst.Tag | validBit
+		}
 	}
 }
 
 // FlushAll writes every dirty line back to memory and invalidates the cache.
 func (c *Cache) FlushAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
+	for s := 0; s < c.geom.Sets; s++ {
+		for w := 0; w < c.geom.Ways; w++ {
 			c.evict(s, w)
 		}
 	}
@@ -431,9 +462,9 @@ func (c *Cache) FlushAll() {
 // downstream traffic, and reporting it keeps the listener's ledger
 // consistent with Stats.Writebacks.
 func (c *Cache) WritebackAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
+	for s := 0; s < c.geom.Sets; s++ {
+		for w := 0; w < c.geom.Ways; w++ {
+			l := c.line(s, w)
 			if l.Valid && l.Dirty {
 				base := c.lineBase(s, l.Tag)
 				c.backing.Write(base, l.Data)

@@ -82,7 +82,7 @@ func TestSilentWriteDetection(t *testing.T) {
 	if silent := c2.WriteWord(set, way, 0x400, 8, 0); !silent {
 		t.Fatal("zero-over-zero not silent")
 	}
-	if c2.Set(set)[way].Dirty {
+	if c2.SnapshotSet(set)[way].Dirty {
 		t.Fatal("silent write dirtied the line")
 	}
 }
@@ -178,7 +178,7 @@ func TestWritebackAllKeepsLinesValid(t *testing.T) {
 	if _, _, hit := c.Probe(0x80); !hit {
 		t.Fatal("WritebackAll invalidated the line")
 	}
-	if c.Set(set)[way].Dirty {
+	if c.SnapshotSet(set)[way].Dirty {
 		t.Fatal("line still dirty after WritebackAll")
 	}
 }
@@ -190,12 +190,12 @@ func TestSnapshotRestoreSet(t *testing.T) {
 	snap := c.SnapshotSet(set)
 	// Mutating the snapshot must not touch the cache.
 	snap[way].Data[0] = 0xff
-	if c.Set(set)[way].Data[0] == 0xff {
+	if c.SnapshotSet(set)[way].Data[0] == 0xff {
 		t.Fatal("snapshot aliases cache storage")
 	}
 	// Restore pushes buffered data back.
 	c.RestoreSet(set, snap)
-	if c.Set(set)[way].Data[0] != 0xff {
+	if c.SnapshotSet(set)[way].Data[0] != 0xff {
 		t.Fatal("RestoreSet did not copy data")
 	}
 }

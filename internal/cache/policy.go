@@ -52,173 +52,178 @@ func ParsePolicy(name string) (PolicyKind, error) {
 	}
 }
 
-// policy tracks replacement state for one set.
-type policy interface {
-	// Touch records a hit on way.
-	Touch(way int)
-	// Insert records a fill into way.
-	Insert(way int)
-	// Victim picks the way to evict.
-	Victim() int
-	// state returns the per-set replacement state as an opaque word slice
-	// (empty when the policy keeps none), for checkpoint serialization.
-	state() []uint32
-	// restore replaces the state with one captured by state, validating
-	// shape and invariants so a corrupt checkpoint fails closed.
-	restore(st []uint32) error
+// replacer holds every set's replacement state in one flat word array and
+// dispatches on the policy kind, so the per-access Touch/Insert/Victim calls
+// read a few contiguous words instead of going through a per-set interface
+// object. The words of set s are words[s*width : (s+1)*width]:
+//
+//   - LRU: the ways ordered from most- to least-recently used.
+//   - FIFO: the ways in fill order, oldest first; hits do not reorder.
+//   - TreePLRU: one 0/1 word per internal node of the binary tree,
+//     heap-ordered, pointing toward the colder half.
+//   - Random: no words; victims come from the RNG shared by every set.
+//
+// These are exactly the words PolicyState exposes for checkpointing.
+type replacer struct {
+	kind  PolicyKind
+	ways  int
+	width int // state words per set
+	words []uint32
+	r     *rng.Xoshiro256
 }
 
-func newPolicy(kind PolicyKind, ways int, r *rng.Xoshiro256) policy {
+func newReplacer(kind PolicyKind, sets, ways int, r *rng.Xoshiro256) replacer {
+	p := replacer{kind: kind, ways: ways, r: r}
 	switch kind {
-	case LRU:
-		return newLRUState(ways)
-	case FIFO:
-		return newFIFOState(ways)
-	case Random:
-		return &randomState{ways: ways, r: r}
+	case LRU, FIFO:
+		p.width = ways
 	case TreePLRU:
-		return newPLRUState(ways)
+		p.width = ways - 1
+	case Random:
 	default:
 		panic("cache: invalid policy kind")
 	}
-}
-
-// lruState keeps ways ordered from most- to least-recently used.
-type lruState struct {
-	order []int // order[0] is MRU
-}
-
-func newLRUState(ways int) *lruState {
-	s := &lruState{order: make([]int, ways)}
-	for i := range s.order {
-		s.order[i] = i
+	p.words = make([]uint32, sets*p.width)
+	if p.kind == LRU || p.kind == FIFO {
+		for i := range p.words {
+			p.words[i] = uint32(i % ways)
+		}
 	}
-	return s
+	return p
 }
 
-func (s *lruState) moveToFront(way int) {
-	for i, w := range s.order {
-		if w == way {
-			copy(s.order[1:i+1], s.order[:i])
-			s.order[0] = way
+// set returns set s's state words.
+func (p *replacer) set(s int) []uint32 {
+	return p.words[s*p.width : (s+1)*p.width]
+}
+
+// Touch records a hit on way in set s.
+func (p *replacer) Touch(s, way int) {
+	switch p.kind {
+	case LRU:
+		moveToFront(p.set(s), way)
+	case TreePLRU:
+		plruTouch(p.set(s), p.ways, way)
+	}
+}
+
+// Insert records a fill into way in set s.
+func (p *replacer) Insert(s, way int) {
+	switch p.kind {
+	case LRU:
+		moveToFront(p.set(s), way)
+	case FIFO:
+		moveToBack(p.set(s), way)
+	case TreePLRU:
+		plruTouch(p.set(s), p.ways, way)
+	}
+}
+
+// Victim picks the way to evict from set s.
+func (p *replacer) Victim(s int) int {
+	switch p.kind {
+	case LRU:
+		return int(p.words[(s+1)*p.width-1])
+	case FIFO:
+		return int(p.words[s*p.width])
+	case Random:
+		return p.r.Intn(p.ways)
+	default:
+		return plruVictim(p.set(s), p.ways)
+	}
+}
+
+// state returns a copy of set s's words (nil for Random, which keeps none;
+// its shared RNG is checkpointed once via Cache.RNGState).
+func (p *replacer) state(s int) []uint32 {
+	if p.kind == Random {
+		return nil
+	}
+	return append(make([]uint32, 0, p.width), p.set(s)...)
+}
+
+// restore replaces set s's words with ones captured by state, validating
+// shape and invariants first so a corrupt checkpoint fails closed and
+// leaves the set untouched.
+func (p *replacer) restore(s int, st []uint32) error {
+	switch p.kind {
+	case LRU, FIFO:
+		if err := checkPerm(st, p.ways); err != nil {
+			return fmt.Errorf("cache: %v state: %w", p.kind, err)
+		}
+	case Random:
+		if len(st) != 0 {
+			return fmt.Errorf("cache: Random state: want 0 words, got %d", len(st))
+		}
+		return nil
+	case TreePLRU:
+		if len(st) != p.width {
+			return fmt.Errorf("cache: PLRU state: want %d words, got %d", p.width, len(st))
+		}
+		for i, w := range st {
+			if w > 1 {
+				return fmt.Errorf("cache: PLRU state: word %d is %d, want 0 or 1", i, w)
+			}
+		}
+	}
+	copy(p.set(s), st)
+	return nil
+}
+
+// moveToFront makes way the first entry of order, shifting the entries
+// before it back by one: each slot takes its predecessor until the slot
+// that held way, so a hit on the MRU way costs one store.
+func moveToFront(order []uint32, way int) {
+	prev := uint32(way)
+	for i, w := range order {
+		order[i] = prev
+		if w == uint32(way) {
+			return
+		}
+		prev = w
+	}
+}
+
+// moveToBack makes way the last entry of queue, shifting the entries after
+// it forward by one.
+func moveToBack(queue []uint32, way int) {
+	for i, w := range queue {
+		if w == uint32(way) {
+			copy(queue[i:], queue[i+1:])
+			queue[len(queue)-1] = w
 			return
 		}
 	}
 }
 
-func (s *lruState) Touch(way int)  { s.moveToFront(way) }
-func (s *lruState) Insert(way int) { s.moveToFront(way) }
-func (s *lruState) Victim() int    { return s.order[len(s.order)-1] }
-
-func (s *lruState) state() []uint32 { return waysToWords(s.order) }
-
-func (s *lruState) restore(st []uint32) error {
-	order, err := wordsToPerm(st, len(s.order))
-	if err != nil {
-		return fmt.Errorf("cache: LRU state: %w", err)
-	}
-	s.order = order
-	return nil
-}
-
-// fifoState evicts in fill order; hits do not refresh position.
-type fifoState struct {
-	queue []int
-}
-
-func newFIFOState(ways int) *fifoState {
-	s := &fifoState{queue: make([]int, ways)}
-	for i := range s.queue {
-		s.queue[i] = i
-	}
-	return s
-}
-
-func (s *fifoState) Touch(int) {}
-
-func (s *fifoState) Insert(way int) {
-	for i, w := range s.queue {
-		if w == way {
-			copy(s.queue[i:], s.queue[i+1:])
-			s.queue[len(s.queue)-1] = way
-			return
-		}
-	}
-}
-
-func (s *fifoState) Victim() int { return s.queue[0] }
-
-func (s *fifoState) state() []uint32 { return waysToWords(s.queue) }
-
-func (s *fifoState) restore(st []uint32) error {
-	queue, err := wordsToPerm(st, len(s.queue))
-	if err != nil {
-		return fmt.Errorf("cache: FIFO state: %w", err)
-	}
-	s.queue = queue
-	return nil
-}
-
-type randomState struct {
-	ways int
-	r    *rng.Xoshiro256
-}
-
-func (s *randomState) Touch(int)   {}
-func (s *randomState) Insert(int)  {}
-func (s *randomState) Victim() int { return s.r.Intn(s.ways) }
-
-// Random keeps no per-set state; the shared RNG is checkpointed once via
-// Cache.RNGState.
-func (s *randomState) state() []uint32 { return nil }
-
-func (s *randomState) restore(st []uint32) error {
-	if len(st) != 0 {
-		return fmt.Errorf("cache: Random state: want 0 words, got %d", len(st))
-	}
-	return nil
-}
-
-// plruState is a binary-tree pseudo-LRU: one bit per internal node pointing
-// toward the colder half. Requires power-of-two ways (guaranteed by Geometry).
-type plruState struct {
-	bits []bool // heap-ordered internal nodes; len = ways-1
-	ways int
-}
-
-func newPLRUState(ways int) *plruState {
-	return &plruState{bits: make([]bool, ways-1), ways: ways}
-}
-
-// Touch flips the path bits away from way so the tree points elsewhere.
-func (s *plruState) Touch(way int) {
+// plruTouch flips the path bits away from way so the tree points elsewhere.
+// Requires power-of-two ways (guaranteed by Geometry).
+func plruTouch(bits []uint32, ways, way int) {
 	node := 0
-	lo, hi := 0, s.ways
+	lo, hi := 0, ways
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if way < mid {
-			s.bits[node] = true // point at the right (cold) half
+			bits[node] = 1 // point at the right (cold) half
 			node = 2*node + 1
 			hi = mid
 		} else {
-			s.bits[node] = false
+			bits[node] = 0
 			node = 2*node + 2
 			lo = mid
 		}
 	}
 }
 
-func (s *plruState) Insert(way int) { s.Touch(way) }
-
-// Victim follows the cold pointers to a leaf. A true bit means "the cold
-// half is the right one" (set by Touch on a left-half hit), so Victim
-// descends right on true and left on false.
-func (s *plruState) Victim() int {
+// plruVictim follows the cold pointers to a leaf. A set bit means "the
+// cold half is the right one" (set by plruTouch on a left-half hit), so it
+// descends right on 1 and left on 0.
+func plruVictim(bits []uint32, ways int) int {
 	node := 0
-	lo, hi := 0, s.ways
+	lo, hi := 0, ways
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if s.bits[node] {
+		if bits[node] == 1 {
 			node = 2*node + 2
 			lo = mid
 		} else {
@@ -229,53 +234,18 @@ func (s *plruState) Victim() int {
 	return lo
 }
 
-func (s *plruState) state() []uint32 {
-	st := make([]uint32, len(s.bits))
-	for i, b := range s.bits {
-		if b {
-			st[i] = 1
-		}
-	}
-	return st
-}
-
-func (s *plruState) restore(st []uint32) error {
-	if len(st) != len(s.bits) {
-		return fmt.Errorf("cache: PLRU state: want %d words, got %d", len(s.bits), len(st))
-	}
-	for i, w := range st {
-		if w > 1 {
-			return fmt.Errorf("cache: PLRU state: word %d is %d, want 0 or 1", i, w)
-		}
-		s.bits[i] = w == 1
-	}
-	return nil
-}
-
-// waysToWords widens a way-index slice for the opaque state encoding.
-func waysToWords(ws []int) []uint32 {
-	out := make([]uint32, len(ws))
-	for i, w := range ws {
-		out[i] = uint32(w)
-	}
-	return out
-}
-
-// wordsToPerm narrows words back to way indices, requiring an exact
-// permutation of [0, ways) — the invariant both LRU order and FIFO queue
-// maintain.
-func wordsToPerm(st []uint32, ways int) ([]int, error) {
+// checkPerm requires st to be an exact permutation of [0, ways) — the
+// invariant both LRU order and FIFO queue maintain.
+func checkPerm(st []uint32, ways int) error {
 	if len(st) != ways {
-		return nil, fmt.Errorf("want %d words, got %d", ways, len(st))
+		return fmt.Errorf("want %d words, got %d", ways, len(st))
 	}
-	out := make([]int, ways)
 	seen := make([]bool, ways)
-	for i, w := range st {
+	for _, w := range st {
 		if int(w) >= ways || seen[w] {
-			return nil, fmt.Errorf("words are not a permutation of [0,%d)", ways)
+			return fmt.Errorf("words are not a permutation of [0,%d)", ways)
 		}
 		seen[w] = true
-		out[i] = int(w)
 	}
-	return out, nil
+	return nil
 }

@@ -229,9 +229,11 @@ func (d *Driver) Snapshot(cfg cache.Config) ([]byte, error) {
 	for _, v := range b.cache.RNGState() {
 		w.u64(v)
 	}
+	var set []cache.Line
 	for s := 0; s < geom.Sets; s++ {
-		for _, l := range b.cache.Set(s) {
-			writeLine(w, &l)
+		set = b.cache.SnapshotSetInto(s, set)
+		for i := range set {
+			writeLine(w, &set[i])
 		}
 	}
 	for s := 0; s < geom.Sets; s++ {
@@ -384,11 +386,12 @@ func ResumeDriver(blob []byte) (*Driver, cache.Config, uint64, error) {
 	geom := c.Geometry()
 	c.RestoreStats(stats)
 	c.RestoreRNGState(rngState)
+	lines := c.SnapshotSet(0)
 	for s := 0; s < geom.Sets; s++ {
-		lines := c.Set(s)
 		for w := range lines {
 			readLineInto(r, &lines[w], geom.BlockBytes)
 		}
+		c.RestoreSet(s, lines)
 	}
 	for s := 0; s < geom.Sets; s++ {
 		n := r.u32()
@@ -519,20 +522,24 @@ func ResumeStreamContext(ctx context.Context, blob []byte, s trace.Stream, max, 
 	return runCheckpointed(ctx, d, cfg, s, max, batchSize, fed, every, sink)
 }
 
-// runCheckpointed is the shared drive loop: skip the already-simulated
-// prefix (resume), feed the rest batch by batch, snapshot every `every`
-// fed batches.
+// runCheckpointed is the one drive loop behind every unsharded core run:
+// skip the already-simulated prefix (resume), feed the rest batch by batch,
+// snapshot every `every` fed batches. A single-subscriber Broadcast decodes
+// one batch ahead, so decode overlaps simulation; its deferred Stop means
+// the source is never read after the loop returns, on any path.
 func runCheckpointed(ctx context.Context, d *Driver, cfg cache.Config, s trace.Stream, max, batchSize int, skip uint64, every int, sink CheckpointSink) (Result, error) {
 	if max > 0 {
 		s = trace.NewLimit(s, uint64(max))
 	}
-	b := trace.NewBatcher(s, batchSizeFor(max, batchSize))
+	bc := trace.NewBroadcast(s, batchSizeFor(max, batchSize), 1, trace.ReadAheadSlabs)
+	defer bc.Stop()
+	sub := bc.Sub(0)
 	fedBatches := 0
 	for {
 		if ctx.Err() != nil {
 			return Result{}, ctx.Err()
 		}
-		batch, ok := b.Next()
+		batch, ok := sub.Next()
 		if !ok {
 			break
 		}
@@ -556,7 +563,7 @@ func runCheckpointed(ctx context.Context, d *Driver, cfg cache.Config, s trace.S
 			}
 		}
 	}
-	if err := b.Err(); err != nil {
+	if err := bc.Err(); err != nil {
 		return Result{}, &StreamError{Accesses: d.Accesses(), Err: err}
 	}
 	if skip > 0 {

@@ -310,12 +310,12 @@ type base struct {
 
 func (b *base) Kind() Kind { return b.kind }
 
-// PeekCounters returns a copy of the live event counters mid-run. Every
-// controller in this package exposes it via base; internal/hier diffs
-// successive peeks to attribute microarchitectural events (premature
-// Set-Buffer write-backs) to the access that caused them, since those never
-// reach backing memory and so never fire a cache.Listener.
-func (b *base) PeekCounters() Counters { return b.counters }
+// PrematureWBs returns the live premature Set-Buffer write-back count
+// mid-run. Every controller in this package exposes it via base;
+// internal/hier diffs it after each access to attribute those events to the
+// access that caused them, since they never reach backing memory and so
+// never fire a cache.Listener.
+func (b *base) PrematureWBs() uint64 { return b.counters.PrematureWBs }
 
 // SetLocal implements the Controller capability from the kind's static
 // classification; every controller in this package shares it via base.

@@ -52,33 +52,7 @@ func RunStream(kind Kind, cfg cache.Config, opts Options, s trace.Stream, max, b
 
 // RunStreamContext is RunStream with cancellation, polled once per batch.
 func RunStreamContext(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s trace.Stream, max, batchSize int) (Result, error) {
-	c, err := cache.New(cfg, mem.New())
-	if err != nil {
-		return Result{}, err
-	}
-	ctrl, err := New(kind, c, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if max > 0 {
-		s = trace.NewLimit(s, uint64(max))
-	}
-	d := NewDriver(ctrl)
-	b := trace.NewBatcher(s, batchSizeFor(max, batchSize))
-	for {
-		if ctx.Err() != nil {
-			return Result{}, ctx.Err()
-		}
-		batch, ok := b.Next()
-		if !ok {
-			break
-		}
-		d.Feed(batch)
-	}
-	if err := b.Err(); err != nil {
-		return Result{}, &StreamError{Accesses: d.Accesses(), Err: err}
-	}
-	return d.Finish(), nil
+	return RunStreamCheckpointedContext(ctx, kind, cfg, opts, s, max, batchSize, 0, nil)
 }
 
 // RunEachStream runs every kind over one shared decode of the stream: open

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"cache8t/internal/cache"
@@ -22,7 +23,7 @@ func Run(kind Kind, cfg cache.Config, opts Options, s trace.Stream, max int) (Re
 // jobs prompt, mid-simulation cancellation instead of job-boundary
 // granularity.
 //
-// RunContext runs on the same batched Driver as RunStreamContext; the only
+// RunContext runs on the same drive loop as RunStreamContext; the only
 // difference is error handling — for compatibility with callers that check
 // the reader's Err themselves, a stream that stops early is treated as
 // exhausted rather than failed. New code should prefer RunStreamContext.
@@ -35,22 +36,13 @@ func RunContext(ctx context.Context, kind Kind, cfg cache.Config, opts Options, 
 	if err != nil {
 		return Result{}, err
 	}
-	if max > 0 {
-		s = trace.NewLimit(s, uint64(max))
-	}
 	d := NewDriver(ctrl)
-	b := trace.NewBatcher(s, batchSizeFor(max, 0))
-	for {
-		if ctx.Err() != nil {
-			return Result{}, ctx.Err()
-		}
-		batch, ok := b.Next()
-		if !ok {
-			break
-		}
-		d.Feed(batch)
+	res, err := runCheckpointed(ctx, d, cfg, s, max, 0, 0, 0, nil)
+	var se *StreamError
+	if errors.As(err, &se) {
+		return d.Finish(), nil
 	}
-	return d.Finish(), nil
+	return res, err
 }
 
 // RunAll runs the same access slice through several controller kinds, each

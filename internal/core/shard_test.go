@@ -124,8 +124,8 @@ func TestShardedRandomPartitionProperty(t *testing.T) {
 			// Machine state: every set's lines live on exactly one shard and
 			// must equal the serial cache's.
 			for set := 0; set < r.geom.Sets; set++ {
-				want := sc.Set(set)
-				got := r.caches[r.route[set]].Set(set)
+				want := sc.SnapshotSet(set)
+				got := r.caches[r.route[set]].SnapshotSet(set)
 				for w := range want {
 					if got[w].Tag != want[w].Tag || got[w].Valid != want[w].Valid || got[w].Dirty != want[w].Dirty {
 						t.Fatalf("%v set %d way %d: line %+v, want %+v", k, set, w, got[w], want[w])

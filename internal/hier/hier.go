@@ -28,9 +28,10 @@
 // synchronously inside the L1 cache operations that cause them (victim
 // write-back strictly before the fill that displaced it), and premature
 // write-backs are attributed to their causing access by diffing the L1
-// controller's live counters after each access. No goroutines, no maps
-// iterated for effect — a hierarchy run is bit-reproducible and
-// byte-identical between daemon and in-process execution.
+// controller's live counter after each access. The only goroutine is the
+// trace decoder running one batch ahead, and no maps are iterated for
+// effect — a hierarchy run is bit-reproducible and byte-identical between
+// daemon and in-process execution.
 package hier
 
 import (
@@ -170,11 +171,11 @@ func (b *bridge) premature() {
 	}
 }
 
-// counterPeeker is the mid-run counter view every core controller provides
-// (via its embedded base); hier diffs PrematureWBs across accesses to place
-// on-chip events at the access that caused them.
-type counterPeeker interface {
-	PeekCounters() core.Counters
+// prematureCounter is the mid-run counter every core controller provides
+// (via its embedded base); hier diffs it across accesses to place on-chip
+// events at the access that caused them.
+type prematureCounter interface {
+	PrematureWBs() uint64
 }
 
 // Run drives up to max accesses of s (max <= 0 drains the stream) through a
@@ -186,7 +187,9 @@ func Run(cfg Config, s trace.Stream, max, batchSize int) (Result, error) {
 }
 
 // RunContext is Run with cancellation, polled once per batch like the
-// single-level drivers.
+// single-level drivers. Like them it decodes one batch ahead through a
+// single-subscriber trace.Broadcast, stopped on every return path so the
+// source is never read after RunContext returns.
 func RunContext(ctx context.Context, cfg Config, s trace.Stream, max, batchSize int) (Result, error) {
 	if cfg.L1.BlockBytes < 8 || cfg.L2.BlockBytes < 8 {
 		return Result{}, fmt.Errorf("hier: block size must be at least 8 bytes")
@@ -210,7 +213,7 @@ func RunContext(ctx context.Context, cfg Config, s trace.Stream, max, batchSize 
 	br := &bridge{l2: l2, observe: cfg.Observer}
 	l1c.SetListener(br)
 
-	peeker, _ := l1.(counterPeeker)
+	pwb, _ := l1.(prematureCounter)
 	if max > 0 {
 		s = trace.NewLimit(s, uint64(max))
 	}
@@ -220,31 +223,33 @@ func RunContext(ctx context.Context, cfg Config, s trace.Stream, max, batchSize 
 	if max > 0 && batchSize > max {
 		batchSize = max
 	}
-	b := trace.NewBatcher(s, batchSize)
+	bc := trace.NewBroadcast(s, batchSize, 1, trace.ReadAheadSlabs)
+	defer bc.Stop()
+	sub := bc.Sub(0)
 	var fed, prevPWB uint64
 	for {
 		if ctx.Err() != nil {
 			return Result{}, ctx.Err()
 		}
-		batch, ok := b.Next()
+		batch, ok := sub.Next()
 		if !ok {
 			break
 		}
 		for i := range batch {
 			l1.Access(batch[i])
-			if peeker != nil {
+			if pwb != nil {
 				// Attribute any premature write-backs to this access. They
 				// follow the access's cache events: the Set-Buffer row
 				// retires into the array before the read's data is served,
 				// but after any miss handling the read triggered.
-				for cur := peeker.PeekCounters().PrematureWBs; prevPWB < cur; prevPWB++ {
+				for cur := pwb.PrematureWBs(); prevPWB < cur; prevPWB++ {
 					br.premature()
 				}
 			}
 		}
 		fed += uint64(len(batch))
 	}
-	if err := b.Err(); err != nil {
+	if err := bc.Err(); err != nil {
 		return Result{}, &core.StreamError{Accesses: fed, Err: err}
 	}
 	// Finalize L1 first: the WG family's Set-Buffer drain may dirty cache

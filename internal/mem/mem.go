@@ -7,12 +7,15 @@
 // tiny, scattered fractions of a 48-bit space — so unbacked bytes read as
 // zero and storage is allocated in 64 B chunks on first write.
 //
-// Chunks hang off a two-level index: a map from 1 KiB-aligned base to a
-// directory of 16 lazily allocated chunk pointers, so a dense stream pays
-// one map entry per 16 chunks. The worst case, one backed chunk per
-// directory on fully scattered addresses, costs about 220 B of heap per
-// backed chunk (the 128 B directory, the chunk and its map entry); dense
-// streams cost less than a map of chunks would.
+// Chunks hang off a two-level index: an open-addressed table from 1 KiB-
+// aligned base to a directory of 16 lazily allocated chunk pointers, so a
+// dense stream pays one table entry per 16 chunks. The table probes
+// linearly from a Fibonacci hash of the base and doubles before it is half
+// full, so a lookup is a multiply, a shift and, almost always, one 16 B
+// slot. The worst case, one backed chunk per directory on fully scattered
+// addresses, costs at most about 250 B of heap per backed chunk (the 128 B
+// directory, the chunk and two to four table slots); dense streams cost
+// less than a map of chunks would.
 package mem
 
 import (
@@ -31,27 +34,68 @@ const (
 // dir holds the chunks of one dirBytes-aligned span; nil means unbacked.
 type dir [dirChunks]*[ChunkSize]byte
 
+// slot is one directory-table entry. key is the directory's base with its
+// low bit set (bases are dirBytes-aligned, so the bit is free); 0 marks an
+// empty slot.
+type slot struct {
+	key uint64
+	d   *dir
+}
+
+const (
+	minSlotsLog2 = 4                  // an empty memory's table has 16 slots
+	fibMul       = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
+)
+
 // Memory is a sparse byte store. The zero value is not usable; call New.
 type Memory struct {
-	dirs   map[uint64]*dir
-	chunks int // backed chunks across all directories
+	slots  []slot // power-of-two length, at most half full
+	shift  uint   // 64 - log2(len(slots)): keeps the hash's top bits
+	dirs   int    // occupied slots
+	chunks int    // backed chunks across all directories
 }
 
 // New returns an empty memory.
 func New() *Memory {
-	return &Memory{dirs: make(map[uint64]*dir)}
+	return &Memory{slots: make([]slot, 1<<minSlotsLog2), shift: 64 - minSlotsLog2}
+}
+
+// find returns the slot holding key, or the empty slot where it would go.
+func (m *Memory) find(key uint64) *slot {
+	mask := uint64(len(m.slots) - 1)
+	for i := (key * fibMul) >> m.shift; ; i = (i + 1) & mask {
+		if s := &m.slots[i]; s.key == key || s.key == 0 {
+			return s
+		}
+	}
+}
+
+// grow doubles the table and reinserts every directory.
+func (m *Memory) grow() {
+	old := m.slots
+	*m = Memory{slots: make([]slot, 2*len(old)), shift: m.shift - 1, dirs: m.dirs, chunks: m.chunks}
+	for _, s := range old {
+		if s.key != 0 {
+			*m.find(s.key) = s
+		}
+	}
 }
 
 // dirFor returns the directory holding addr, creating it when create is
 // set; otherwise it returns nil for an unbacked span.
 func (m *Memory) dirFor(addr uint64, create bool) *dir {
-	base := addr &^ uint64(dirBytes-1)
-	d := m.dirs[base]
-	if d == nil && create {
-		d = new(dir)
-		m.dirs[base] = d
+	key := addr&^uint64(dirBytes-1) | 1
+	s := m.find(key)
+	if s.key != 0 || !create {
+		return s.d
 	}
-	return d
+	if 2*(m.dirs+1) > len(m.slots) {
+		m.grow()
+		s = m.find(key)
+	}
+	m.dirs++
+	*s = slot{key: key, d: new(dir)}
+	return s.d
 }
 
 func (m *Memory) chunkFor(addr uint64, create bool) (*[ChunkSize]byte, uint64) {
@@ -139,19 +183,21 @@ func (m *Memory) WouldBeSilent(addr uint64, size uint8, data uint64) bool {
 }
 
 // Bases returns the base address of every backed chunk in ascending order.
-// Checkpoint serialization needs a deterministic iteration order; map range
+// Checkpoint serialization needs a deterministic iteration order; table
 // order would make snapshot bytes differ between identical states.
 func (m *Memory) Bases() []uint64 {
-	dirBases := make([]uint64, 0, len(m.dirs))
-	for base := range m.dirs {
-		dirBases = append(dirBases, base)
+	dirs := make([]slot, 0, m.dirs)
+	for _, s := range m.slots {
+		if s.key != 0 {
+			dirs = append(dirs, s)
+		}
 	}
-	sort.Slice(dirBases, func(i, j int) bool { return dirBases[i] < dirBases[j] })
+	sort.Slice(dirs, func(i, j int) bool { return dirs[i].key < dirs[j].key })
 	bases := make([]uint64, 0, m.chunks)
-	for _, base := range dirBases {
-		for i, c := range m.dirs[base] {
+	for _, s := range dirs {
+		for i, c := range s.d {
 			if c != nil {
-				bases = append(bases, base+uint64(i)*ChunkSize)
+				bases = append(bases, s.key&^1+uint64(i)*ChunkSize)
 			}
 		}
 	}
@@ -166,19 +212,22 @@ func (m *Memory) FootprintBytes() uint64 {
 // Clone returns a deep copy of the memory image. Used by correctness property
 // tests to run two controllers from identical initial state.
 func (m *Memory) Clone() *Memory {
-	out := New()
-	out.chunks = m.chunks
-	for base, d := range m.dirs {
+	out := *m
+	out.slots = make([]slot, len(m.slots))
+	for i, s := range m.slots {
+		if s.key == 0 {
+			continue
+		}
 		var dup dir
-		for i, c := range d {
+		for j, c := range s.d {
 			if c != nil {
 				cc := *c
-				dup[i] = &cc
+				dup[j] = &cc
 			}
 		}
-		out.dirs[base] = &dup
+		out.slots[i] = slot{key: s.key, d: &dup}
 	}
-	return out
+	return &out
 }
 
 // Equal reports whether two memories hold the same image (unbacked bytes
@@ -188,9 +237,12 @@ func (m *Memory) Equal(other *Memory) bool {
 }
 
 func (m *Memory) coveredBy(other *Memory) bool {
-	for base, d := range m.dirs {
-		od := other.dirs[base]
-		for i, c := range d {
+	for _, s := range m.slots {
+		if s.key == 0 {
+			continue
+		}
+		od := other.find(s.key).d
+		for i, c := range s.d {
 			if c == nil {
 				continue
 			}

@@ -27,17 +27,16 @@ type ErrStream interface {
 	Err() error
 }
 
-// decoder is the single-buffer decode core shared by Batcher and the
-// broadcast fan-outs: one batch of the source at a time, through the
-// fastest path the source supports — a zero-copy subslice view for
-// in-memory slices, a native ReadBatch for binary readers, a per-access
-// Next loop for everything else.
+// decoder is the decode core shared by Batcher and the broadcast fan-outs:
+// one batch of the source at a time, through the fastest path the source
+// supports — a zero-copy subslice view for in-memory slices, a native
+// ReadBatch for binary readers, a per-access Next loop for everything else.
 type decoder struct {
 	src   Stream
 	fast  BatchSource  // non-nil when src decodes batches natively
 	slice *SliceStream // non-nil when src is an in-memory slice: zero-copy
 	size  int
-	buf   []Access // allocated lazily; slice sources never need it
+	buf   []Access // next's buffer, allocated lazily; slice sources never need it
 }
 
 // newDecoder classifies src and fixes the batch length (size <= 0 means
@@ -56,32 +55,39 @@ func newDecoder(src Stream, size int) decoder {
 	return d
 }
 
-// next returns the next batch: a subslice of the backing array for slice
-// sources, otherwise the refilled internal buffer. An empty batch means the
-// source is exhausted or errored (check err). The returned slice is valid
-// only until the next call.
-func (d *decoder) next() []Access {
+// fill loads the next batch of the source: a subslice of the backing array
+// for slice sources, otherwise accesses decoded into *buf, which is
+// allocated (size accesses) on first use. An empty batch means the source
+// is exhausted or errored (check err). Every batch producer in the package
+// — Batcher, Broadcast and RouteBroadcast — goes through here, each with
+// its own destination buffer.
+func (d *decoder) fill(buf *[]Access) []Access {
 	if d.slice != nil {
 		return d.slice.nextBatch(d.size)
 	}
-	if d.buf == nil {
-		d.buf = make([]Access, d.size)
+	if *buf == nil {
+		*buf = make([]Access, d.size)
 	}
+	dst := *buf
 	var n int
 	if d.fast != nil {
-		n = d.fast.ReadBatch(d.buf)
+		n = d.fast.ReadBatch(dst)
 	} else {
-		for n < len(d.buf) {
+		for n < len(dst) {
 			a, ok := d.src.Next()
 			if !ok {
 				break
 			}
-			d.buf[n] = a
+			dst[n] = a
 			n++
 		}
 	}
-	return d.buf[:n]
+	return dst[:n]
 }
+
+// next is fill into the decoder's own buffer. The returned slice is valid
+// only until the next call.
+func (d *decoder) next() []Access { return d.fill(&d.buf) }
 
 // err surfaces the source's decode error, when the source tracks one.
 func (d *decoder) err() error {

@@ -32,6 +32,11 @@ import (
 // without ballooning read-ahead memory.
 const DefaultBroadcastSlabs = 4
 
+// ReadAheadSlabs is the pool depth of a single-consumer run loop's
+// Broadcast: the decoder fills one batch while the consumer works through
+// the other, so decode overlaps simulation for one extra batch of memory.
+const ReadAheadSlabs = 2
+
 // slab is one pooled batch buffer plus its fan-out reference count.
 type slab struct {
 	// buf is the owned decode buffer; nil for zero-copy slice views.
@@ -48,16 +53,13 @@ type slab struct {
 // subscriber must either drain its Subscription to the end or Stop it, or
 // the slab pool runs dry and the decoder stalls.
 type Broadcast struct {
-	src   Stream
-	fast  BatchSource  // non-nil when src decodes batches natively
-	slice *SliceStream // non-nil when src is an in-memory slice: zero-copy
-	size  int
-	subs  []*Subscription
-	free  chan *slab
-	quit  chan struct{} // closed when every subscriber has stopped early
-	done  chan struct{} // closed when the decoder goroutine exits
-	live  atomic.Int32  // subscribers that have not stopped
-	err   error         // decode error; published by closing the sub channels
+	dec  decoder // decodes into each slab's own buffer
+	subs []*Subscription
+	free chan *slab
+	quit chan struct{} // closed when every subscriber has stopped early
+	done chan struct{} // closed when the decoder goroutine exits
+	live atomic.Int32  // subscribers that have not stopped
+	err  error         // decode error; published by closing the sub channels
 }
 
 // NewBroadcast returns a running Broadcast over src with nsubs subscribers,
@@ -65,9 +67,6 @@ type Broadcast struct {
 // buffers (<= 0 means DefaultBroadcastSlabs). Like Batcher, slice sources
 // are served zero-copy; everything else decodes into the pooled slabs.
 func NewBroadcast(src Stream, size, nsubs, slabs int) *Broadcast {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
 	if slabs <= 0 {
 		slabs = DefaultBroadcastSlabs
 	}
@@ -75,17 +74,10 @@ func NewBroadcast(src Stream, size, nsubs, slabs int) *Broadcast {
 		nsubs = 1
 	}
 	b := &Broadcast{
-		src:  src,
-		size: size,
+		dec:  newDecoder(src, size),
 		free: make(chan *slab, slabs),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
-	}
-	switch s := src.(type) {
-	case *SliceStream:
-		b.slice = s
-	case BatchSource:
-		b.fast = s
 	}
 	for i := 0; i < slabs; i++ {
 		b.free <- &slab{}
@@ -140,10 +132,8 @@ func (b *Broadcast) pump() {
 			return
 		case sl = <-b.free:
 		}
-		if n := b.fill(sl); n == 0 {
-			if es, ok := b.src.(ErrStream); ok {
-				b.err = es.Err()
-			}
+		if sl.view = b.dec.fill(&sl.buf); len(sl.view) == 0 {
+			b.err = b.dec.err()
 			return
 		}
 		sl.refs.Store(int32(len(b.subs)))
@@ -154,33 +144,6 @@ func (b *Broadcast) pump() {
 			s.ch <- sl
 		}
 	}
-}
-
-// fill loads the next batch into sl and returns its length (0 = exhausted
-// or errored source).
-func (b *Broadcast) fill(sl *slab) int {
-	if b.slice != nil {
-		sl.view = b.slice.nextBatch(b.size)
-		return len(sl.view)
-	}
-	if sl.buf == nil {
-		sl.buf = make([]Access, b.size)
-	}
-	var n int
-	if b.fast != nil {
-		n = b.fast.ReadBatch(sl.buf)
-	} else {
-		for n < len(sl.buf) {
-			a, ok := b.src.Next()
-			if !ok {
-				break
-			}
-			sl.buf[n] = a
-			n++
-		}
-	}
-	sl.view = sl.buf[:n]
-	return n
 }
 
 // release recycles sl once the last subscriber lets go of it.

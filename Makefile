@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test vet race stress bench bench-core bench-shard bench-scale bench-hier check fmt-check regress regress-shard golden-update fuzz-smoke serve-smoke serve-golden-update cache-smoke crash-smoke coord-smoke hier-smoke hier-golden-update ci
+.PHONY: build test vet race stress bench bench-core bench-shard bench-scale bench-hier check fmt-check regress regress-shard regress-stream golden-update fuzz-smoke serve-smoke serve-golden-update cache-smoke crash-smoke coord-smoke hier-smoke hier-golden-update ci
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,11 @@ regress:
 # is a sharding-equivalence bug, not a numbers change.
 regress-shard:
 	$(GO) run ./cmd/regress -shards 4
+
+# The same matrix from streamed traces: what the paper-matrix benchmark times.
+# Goldens are mode-agnostic, so any drift here is a streaming-equivalence bug.
+regress-stream:
+	$(GO) run ./cmd/regress -stream
 
 # Regenerate the goldens after an intentional change to the reproduced
 # numbers. Review the golden/ diff and commit it with the change that caused
@@ -151,4 +156,4 @@ hier-golden-update:
 		$(GO) build -o "$$tmp/sramd" ./cmd/sramd && \
 		$(GO) run ./cmd/sramload -hier-smoke -update -sramd "$$tmp/sramd"
 
-ci: build vet fmt-check race stress regress regress-shard serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke
+ci: build vet fmt-check race stress regress regress-shard regress-stream serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke

@@ -17,7 +17,9 @@ import (
 	"cache8t/internal/rng"
 )
 
-// Line is one cache block: metadata plus data bytes.
+// Line is one cache block: metadata plus data bytes. The cache itself does
+// not store Lines (see Cache); a Line is the copy SnapshotSet hands out and
+// RestoreSet takes back, for the Set-Buffer and for checkpoints.
 type Line struct {
 	Tag   uint64
 	Valid bool
@@ -87,16 +89,18 @@ func DefaultConfig() Config {
 // memory; write-allocate by default, write-around when Config.NoWriteAllocate
 // is set.
 //
-// Layout: every line lives in one set-major slice (set s's ways are
-// lines[s*Ways : (s+1)*Ways]) over one contiguous data array, and tags is a
-// probe index beside it holding Tag|validBit per valid way (0 for an
-// invalid one), so a lookup or a free-way scan reads Ways contiguous words.
-// Every structural change (fill, eviction, RestoreSet) goes through the
-// methods below, which keep the index in step with the lines.
+// Layout: the lines are stored as structure-of-arrays, set-major (line i is
+// way i%Ways of set i/Ways). tags[i] holds the line's tag with validBit set
+// while it is valid, dirty[i] its dirty bit, and data[i*BlockBytes:] its
+// bytes, so a lookup or a free-way scan reads Ways contiguous words and a
+// line costs BlockBytes+9 bytes plus its replacement words. An invalid line
+// keeps its stale tag (only validBit is cleared): snapshots and checkpoints
+// expose that tag exactly as a line-struct cache would.
 type Cache struct {
 	geom  Geometry
-	lines []Line
 	tags  []uint64
+	dirty []bool
+	data  []byte
 	repl  replacer
 	// rand is the RNG shared by every set's Random replacement policy
 	// (unused by the deterministic policies). Retained so checkpointing can
@@ -127,28 +131,30 @@ func New(cfg Config, backing *mem.Memory) (*Cache, error) {
 	}
 	r := rng.New(cfg.Seed)
 	n := geom.Sets * geom.Ways
-	c := &Cache{
+	return &Cache{
 		geom:    geom,
-		lines:   make([]Line, n),
 		tags:    make([]uint64, n),
+		dirty:   make([]bool, n),
+		data:    make([]byte, n*geom.BlockBytes),
 		repl:    newReplacer(cfg.Policy, geom.Sets, geom.Ways, r),
 		rand:    r,
 		backing: backing,
 		noAlloc: cfg.NoWriteAllocate,
-	}
-	data := make([]byte, n*geom.BlockBytes)
-	for i := range c.lines {
-		c.lines[i].Data, data = data[:geom.BlockBytes:geom.BlockBytes], data[geom.BlockBytes:]
-	}
-	return c, nil
+	}, nil
 }
 
-// line returns the line in way of set.
-func (c *Cache) line(set, way int) *Line { return &c.lines[set*c.geom.Ways+way] }
+// index returns the line index of way in set.
+func (c *Cache) index(set, way int) int { return set*c.geom.Ways + way }
+
+// lineData returns line i's data bytes.
+func (c *Cache) lineData(i int) []byte {
+	b := c.geom.BlockBytes
+	return c.data[i*b : (i+1)*b : (i+1)*b]
+}
 
 // setTags returns set's slice of the probe index.
 func (c *Cache) setTags(set int) []uint64 {
-	i := set * c.geom.Ways
+	i := c.index(set, 0)
 	return c.tags[i : i+c.geom.Ways]
 }
 
@@ -198,11 +204,11 @@ func (c *Cache) WriteAround(addr uint64, size uint8, data uint64) {
 	for i := 0; i < int(size); i++ {
 		b := addr + uint64(i)
 		if set, way, hit := c.Probe(b); hit {
-			l := c.line(set, way)
+			j := c.index(set, way)
 			off := c.geom.BlockOffset(b)
-			if l.Data[off] != buf[i] {
-				l.Data[off] = buf[i]
-				l.Dirty = true
+			if d := c.lineData(j); d[off] != buf[i] {
+				d[off] = buf[i]
+				c.dirty[j] = true
 			}
 			continue
 		}
@@ -260,13 +266,10 @@ func (c *Cache) fill(set int, tag, base uint64) int {
 		way = c.repl.Victim(set)
 		c.evict(set, way)
 	}
-	i := set*c.geom.Ways + way
-	l := &c.lines[i]
-	c.backing.Read(base, l.Data)
-	l.Tag = tag
-	l.Valid = true
-	l.Dirty = false
+	i := c.index(set, way)
+	c.backing.Read(base, c.lineData(i))
 	c.tags[i] = tag | validBit
+	c.dirty[i] = false
 	c.stats.Fills++
 	if c.listener != nil {
 		c.listener.Fill(base)
@@ -275,25 +278,32 @@ func (c *Cache) fill(set int, tag, base uint64) int {
 	return way
 }
 
-// evict writes back way's line if dirty and invalidates it.
+// evict writes back way's line if dirty and invalidates it, keeping its
+// stale tag.
 func (c *Cache) evict(set, way int) {
-	i := set*c.geom.Ways + way
-	l := &c.lines[i]
-	if !l.Valid {
+	i := c.index(set, way)
+	if c.tags[i]&validBit == 0 {
 		return
 	}
-	if l.Dirty {
-		base := c.lineBase(set, l.Tag)
-		c.backing.Write(base, l.Data)
-		c.stats.Writebacks++
-		if c.listener != nil {
-			c.listener.Writeback(base, l.Data)
-		}
-	}
-	l.Valid = false
-	l.Dirty = false
-	c.tags[i] = 0
+	c.writeback(set, i)
+	c.tags[i] &^= validBit
 	c.stats.Evictions++
+}
+
+// writeback writes valid line i of set back to memory if it is dirty and
+// marks it clean.
+func (c *Cache) writeback(set, i int) {
+	if !c.dirty[i] {
+		return
+	}
+	base := c.lineBase(set, c.tags[i]&^validBit)
+	data := c.lineData(i)
+	c.backing.Write(base, data)
+	c.dirty[i] = false
+	c.stats.Writebacks++
+	if c.listener != nil {
+		c.listener.Writeback(base, data)
+	}
 }
 
 // lineBase reconstructs the block base address of a resident line.
@@ -304,10 +314,9 @@ func (c *Cache) lineBase(set int, tag uint64) uint64 {
 // ReadWord reads size bytes at addr from the resident line (set, way).
 // The caller must have established residency via Ensure.
 func (c *Cache) ReadWord(set, way int, addr uint64, size uint8) uint64 {
-	l := c.line(set, way)
 	off := c.geom.BlockOffset(addr)
 	var buf [8]byte
-	n := copy(buf[:size], l.Data[off:])
+	n := copy(buf[:size], c.lineData(c.index(set, way))[off:])
 	if n < int(size) {
 		// Access straddles a block boundary; fetch the spill bytes from
 		// the next block via backing-consistent path. Workload generators
@@ -322,7 +331,7 @@ func (c *Cache) readSpill(addr uint64, n int) []byte {
 	out := make([]byte, n)
 	if set, way, hit := c.Probe(addr); hit {
 		off := c.geom.BlockOffset(addr)
-		copy(out, c.line(set, way).Data[off:off+n])
+		copy(out, c.lineData(c.index(set, way))[off:off+n])
 		return out
 	}
 	c.backing.Read(addr, out)
@@ -333,36 +342,37 @@ func (c *Cache) readSpill(addr uint64, n int) []byte {
 // (set, way), marking it dirty if the content changed. It reports whether the
 // write was silent (stored value identical to the previous content).
 func (c *Cache) WriteWord(set, way int, addr uint64, size uint8, data uint64) (silent bool) {
-	l := c.line(set, way)
+	i := c.index(set, way)
+	line := c.lineData(i)
 	off := c.geom.BlockOffset(addr)
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], data)
 	n := int(size)
-	if off+n > len(l.Data) {
+	if off+n > len(line) {
 		// Straddling store: write the spill through to backing memory so
 		// the architectural image stays exact. Defensive; see ReadWord.
-		spill := n - (len(l.Data) - off)
+		spill := n - (len(line) - off)
 		c.writeSpill(addr+uint64(n-spill), buf[n-spill:n])
 		n -= spill
 	}
 	changed := false
-	for i := 0; i < n; i++ {
-		if l.Data[off+i] != buf[i] {
+	for k := 0; k < n; k++ {
+		if line[off+k] != buf[k] {
 			changed = true
-			l.Data[off+i] = buf[i]
+			line[off+k] = buf[k]
 		}
 	}
 	if changed {
-		l.Dirty = true
+		c.dirty[i] = true
 	}
 	return !changed
 }
 
 func (c *Cache) writeSpill(addr uint64, src []byte) {
 	if set, way, hit := c.Probe(addr); hit {
-		l := c.line(set, way)
-		copy(l.Data[c.geom.BlockOffset(addr):], src)
-		l.Dirty = true
+		i := c.index(set, way)
+		copy(c.lineData(i)[c.geom.BlockOffset(addr):], src)
+		c.dirty[i] = true
 		return
 	}
 	c.backing.Write(addr, src)
@@ -381,29 +391,21 @@ func (c *Cache) PeekWord(addr uint64, size uint8) uint64 {
 
 func (c *Cache) peekByte(addr uint64) byte {
 	if set, way, hit := c.Probe(addr); hit {
-		return c.line(set, way).Data[c.geom.BlockOffset(addr)]
+		return c.lineData(c.index(set, way))[c.geom.BlockOffset(addr)]
 	}
 	return c.backing.LoadByte(addr)
 }
 
-// setLines returns set s's lines.
-func (c *Cache) setLines(s int) []Line {
-	i := s * c.geom.Ways
-	return c.lines[i : i+c.geom.Ways]
-}
-
 // SnapshotSet deep-copies set s — filling the Set-Buffer. Reading a set
 // always goes through a copy: the cache's own lines change only through its
-// methods, which keep the probe index in step.
+// methods.
 func (c *Cache) SnapshotSet(s int) []Line {
-	src := c.setLines(s)
-	out := make([]Line, len(src))
-	data := make([]byte, len(src)*c.geom.BlockBytes)
-	for w := range src {
-		out[w] = src[w]
+	out := make([]Line, c.geom.Ways)
+	data := make([]byte, c.geom.Ways*c.geom.BlockBytes)
+	for w := range out {
 		out[w].Data, data = data[:c.geom.BlockBytes:c.geom.BlockBytes], data[c.geom.BlockBytes:]
-		copy(out[w].Data, src[w].Data)
 	}
+	c.copySet(s, out)
 	return out
 }
 
@@ -412,38 +414,45 @@ func (c *Cache) SnapshotSet(s int) []Line {
 // dst must have come from SnapshotSet on a cache of the same shape; anything
 // else (nil included) falls back to a fresh snapshot.
 func (c *Cache) SnapshotSetInto(s int, dst []Line) []Line {
-	src := c.setLines(s)
-	if len(dst) != len(src) {
+	if len(dst) != c.geom.Ways {
 		return c.SnapshotSet(s)
 	}
-	for w := range src {
-		data := dst[w].Data
-		if len(data) != c.geom.BlockBytes {
+	for w := range dst {
+		if len(dst[w].Data) != c.geom.BlockBytes {
 			return c.SnapshotSet(s)
 		}
-		copy(data, src[w].Data)
-		dst[w] = src[w]
-		dst[w].Data = data
 	}
+	c.copySet(s, dst)
 	return dst
+}
+
+// copySet copies set s's lines into dst, whose Data buffers are already
+// BlockBytes long.
+func (c *Cache) copySet(s int, dst []Line) {
+	for w := range dst {
+		i := c.index(s, w)
+		t := c.tags[i]
+		dst[w].Tag = t &^ validBit
+		dst[w].Valid = t&validBit != 0
+		dst[w].Dirty = c.dirty[i]
+		copy(dst[w].Data, c.lineData(i))
+	}
 }
 
 // RestoreSet copies lines back into set s: data, dirty bits, tags and valid
 // bits. It is the Set-Buffer write-back (where the protocol in
 // internal/core guarantees the tags and valid bits are unchanged) and the
-// way checkpoint restore rebuilds a set; either way the probe index is
-// rebuilt from the restored lines.
+// way checkpoint restore rebuilds a set.
 func (c *Cache) RestoreSet(s int, lines []Line) {
-	for w := range c.setLines(s) {
-		i := s*c.geom.Ways + w
-		dst := &c.lines[i]
-		copy(dst.Data, lines[w].Data)
-		dst.Dirty = lines[w].Dirty
-		dst.Tag = lines[w].Tag
-		dst.Valid = lines[w].Valid
-		c.tags[i] = 0
-		if dst.Valid {
-			c.tags[i] = dst.Tag | validBit
+	for w := 0; w < c.geom.Ways; w++ {
+		i := c.index(s, w)
+		copy(c.lineData(i), lines[w].Data)
+		c.dirty[i] = lines[w].Dirty
+		// Real tags never reach validBit; masking it keeps a malformed
+		// checkpoint from turning an invalid way valid.
+		c.tags[i] = lines[w].Tag &^ validBit
+		if lines[w].Valid {
+			c.tags[i] |= validBit
 		}
 	}
 }
@@ -464,15 +473,8 @@ func (c *Cache) FlushAll() {
 func (c *Cache) WritebackAll() {
 	for s := 0; s < c.geom.Sets; s++ {
 		for w := 0; w < c.geom.Ways; w++ {
-			l := c.line(s, w)
-			if l.Valid && l.Dirty {
-				base := c.lineBase(s, l.Tag)
-				c.backing.Write(base, l.Data)
-				l.Dirty = false
-				c.stats.Writebacks++
-				if c.listener != nil {
-					c.listener.Writeback(base, l.Data)
-				}
+			if i := c.index(s, w); c.tags[i]&validBit != 0 {
+				c.writeback(s, i)
 			}
 		}
 	}

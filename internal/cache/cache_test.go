@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -32,6 +33,34 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 	cfg.Ways = 3
 	if _, err := New(cfg, mem.New()); err == nil {
 		t.Fatal("bad geometry accepted")
+	}
+}
+
+// TestNewHeapPerLineBound bounds what New allocates per line: the data
+// bytes plus at most 16 bytes of tag, dirty bit and replacement state. A
+// line-struct layout (40 B of metadata per line) fails it.
+func TestNewHeapPerLineBound(t *testing.T) {
+	for _, cfg := range []Config{
+		DefaultConfig(),
+		{SizeBytes: 256 * 1024, Ways: 8, BlockBytes: 64, Policy: LRU},
+		{SizeBytes: 64 * 1024, Ways: 4, BlockBytes: 32, Policy: TreePLRU},
+		{SizeBytes: 64 * 1024, Ways: 2, BlockBytes: 16, Policy: FIFO},
+	} {
+		backing := mem.New()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := New(cfg, backing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		lines := c.Geometry().Sets * c.Geometry().Ways
+		perLine := float64(after.TotalAlloc-before.TotalAlloc) / float64(lines)
+		bound := float64(cfg.BlockBytes + 16)
+		t.Logf("%+v: %.1f B allocated per line, bound %.0f", cfg, perLine, bound)
+		if perLine > bound {
+			t.Errorf("%+v: %.1f B allocated per line, bound %.0f", cfg, perLine, bound)
+		}
 	}
 }
 

@@ -64,10 +64,17 @@ func TestProberDrivesBreaker(t *testing.T) {
 	}
 
 	// Kill the worker: threshold consecutive probe failures must open the
-	// breaker with zero dispatches involved.
+	// breaker with zero dispatches involved. The counters are read against
+	// a baseline taken now: while healthy, a probe slower than its 1 s
+	// fake-clock deadline (the clock runs 1 s per real millisecond here)
+	// counts as a failure, and three of those in a row may already have
+	// opened the breaker once before a success closed it again.
+	opens0, failed0 := c.met.breakerOpens.Load(), c.met.probesFailed.Load()
 	healthy.Store(false)
-	advanceUntil("breaker opened by probes", func() bool { return c.met.breakerOpens.Load() >= 1 })
-	if got := c.met.probesFailed.Load(); got < 3 {
+	advanceUntil("breaker opened by probes", func() bool {
+		return c.met.breakerOpens.Load() > opens0 && c.met.probesFailed.Load()-failed0 >= 3
+	})
+	if got := c.met.probesFailed.Load() - failed0; got < 3 {
 		t.Fatalf("breaker opened after %d failed probes, want >= threshold 3", got)
 	}
 	if st := c.reg.snapshot(clk.Now())[0].Breaker; st != "open" {

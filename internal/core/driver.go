@@ -55,26 +55,49 @@ func RunStreamContext(ctx context.Context, kind Kind, cfg cache.Config, opts Opt
 	return RunStreamCheckpointedContext(ctx, kind, cfg, opts, s, max, batchSize, 0, nil)
 }
 
-// RunEachStream runs every kind over one shared decode of the stream: open
-// is called once, a trace.Broadcast fans the batches out, and each kind's
-// controller consumes them on its own goroutine. Results are byte-identical
-// to RunEachStreamSerial (and so to RunAll over the materialized accesses)
-// because every controller sees the exact same access sequence — but a
-// seven-kind comparison decodes its gzip trace once instead of seven times,
-// and no kind ever holds the full trace.
+// Lane is one (controller kind, cache shape) pair that a shared stream
+// feeds: the unit RunLanes fans a stream out to.
+type Lane struct {
+	Kind  Kind
+	Cache cache.Config
+}
+
+// sameShape returns one lane per kind, all over cfg.
+func sameShape(kinds []Kind, cfg cache.Config) []Lane {
+	lanes := make([]Lane, len(kinds))
+	for i, k := range kinds {
+		lanes[i] = Lane{Kind: k, Cache: cfg}
+	}
+	return lanes
+}
+
+// RunEachStream runs every kind over one shared decode of the stream, all
+// over the same cache shape: RunLanes with one lane per kind.
 func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Options, open func() (trace.Stream, error), max, batchSize int) ([]Result, error) {
-	if len(kinds) <= 1 {
-		return RunEachStreamSerial(ctx, kinds, cfg, opts, open, max, batchSize)
+	return RunLanes(ctx, sameShape(kinds, cfg), opts, open, max, batchSize)
+}
+
+// RunLanes runs every lane over one shared decode of the stream: open is
+// called once, a trace.Broadcast fans the batches out, and each lane's
+// controller consumes them over its own cache on its own goroutine.
+// Results, in lane order, are byte-identical to RunEachStreamSerial lane by
+// lane (and so to RunAll over the materialized accesses) because every
+// controller sees the exact same access sequence — but a thirteen-lane
+// matrix generates or decodes its trace once instead of thirteen times, and
+// no lane ever holds the full trace. One lane (or none) runs serially.
+func RunLanes(ctx context.Context, lanes []Lane, opts Options, open func() (trace.Stream, error), max, batchSize int) ([]Result, error) {
+	if len(lanes) <= 1 {
+		return runLanesSerial(ctx, lanes, opts, open, max, batchSize)
 	}
 	// Build every controller before opening the stream, so construction
 	// errors surface without spinning up the decoder.
-	drivers := make([]*Driver, len(kinds))
-	for i, k := range kinds {
-		c, err := cache.New(cfg, mem.New())
+	drivers := make([]*Driver, len(lanes))
+	for i, l := range lanes {
+		c, err := cache.New(l.Cache, mem.New())
 		if err != nil {
 			return nil, err
 		}
-		ctrl, err := New(k, c, opts)
+		ctrl, err := New(l.Kind, c, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -87,10 +110,10 @@ func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Opt
 	if max > 0 {
 		s = trace.NewLimit(s, uint64(max))
 	}
-	bc := trace.NewBroadcast(s, batchSizeFor(max, batchSize), len(kinds), 0)
-	errs := make([]error, len(kinds))
+	bc := trace.NewBroadcast(s, batchSizeFor(max, batchSize), len(lanes), 0)
+	errs := make([]error, len(lanes))
 	var wg sync.WaitGroup
-	for i := range kinds {
+	for i := range lanes {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -119,7 +142,7 @@ func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Opt
 	if err := bc.Err(); err != nil {
 		return nil, &StreamError{Accesses: drivers[0].Accesses(), Err: err}
 	}
-	out := make([]Result, len(kinds))
+	out := make([]Result, len(lanes))
 	for i, d := range drivers {
 		out[i] = d.Finish()
 	}
@@ -133,13 +156,18 @@ func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Opt
 // slice). It trades the broadcast's single decode for minimal concurrency —
 // and is the reference the broadcast path is tested byte-identical against.
 func RunEachStreamSerial(ctx context.Context, kinds []Kind, cfg cache.Config, opts Options, open func() (trace.Stream, error), max, batchSize int) ([]Result, error) {
-	out := make([]Result, len(kinds))
-	for i, k := range kinds {
+	return runLanesSerial(ctx, sameShape(kinds, cfg), opts, open, max, batchSize)
+}
+
+// runLanesSerial runs each lane over its own fresh open, one after another.
+func runLanesSerial(ctx context.Context, lanes []Lane, opts Options, open func() (trace.Stream, error), max, batchSize int) ([]Result, error) {
+	out := make([]Result, len(lanes))
+	for i, l := range lanes {
 		s, err := open()
 		if err != nil {
 			return nil, err
 		}
-		out[i], err = RunStreamContext(ctx, k, cfg, opts, s, max, batchSize)
+		out[i], err = RunStreamContext(ctx, l.Kind, l.Cache, opts, s, max, batchSize)
 		if err != nil {
 			return nil, err
 		}

@@ -221,3 +221,77 @@ func TestPipelinedRunLifecycle(t *testing.T) {
 		}
 	})
 }
+
+// TestRunLanesMixedShapes runs lanes of different kinds over different
+// cache shapes from one shared decode. Each lane must equal its own
+// RunStreamContext run; a decode error must report exactly the accesses
+// fed before it; a cancellation must stop the decode early; and no path may
+// leave a decoder goroutine behind or read the source after returning.
+func TestRunLanesMixedShapes(t *testing.T) {
+	const n, batch = 50_000, 1024
+	accs := randomStream(37, n, 1<<15)
+	enc := encodeTrace(t, accs)
+	wide := cache.Config{SizeBytes: 4096, Ways: 4, BlockBytes: 64, Policy: cache.LRU}
+	fifo := cache.Config{SizeBytes: 2048, Ways: 4, BlockBytes: 16, Policy: cache.FIFO}
+	lanes := []Lane{
+		{Kind: RMW, Cache: smallCfg()},
+		{Kind: WG, Cache: wide},
+		{Kind: WGRB, Cache: smallCfg()},
+		{Kind: Conventional, Cache: fifo},
+		{Kind: WG, Cache: smallCfg()},
+	}
+	open := func(src trace.Stream) func() (trace.Stream, error) {
+		return func() (trace.Stream, error) { return src, nil }
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		src := newWatchedSource(enc)
+		got, err := RunLanes(context.Background(), lanes, Options{}, open(src), 0, batch)
+		src.afterReturn(t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range lanes {
+			want, err := RunStreamContext(context.Background(), l.Kind, l.Cache, Options{}, trace.FromSlice(accs), 0, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, got[i], want)
+		}
+	})
+
+	t.Run("decode-error", func(t *testing.T) {
+		cut := 4*batch + 300
+		prefix := encodeTrace(t, accs[:cut])
+		truncated := append(append([]byte(nil), prefix...), enc[len(prefix):len(prefix)+2]...)
+		src := newWatchedSource(truncated)
+		_, err := RunLanes(context.Background(), lanes, Options{}, open(src), 0, batch)
+		src.afterReturn(t)
+		var se *StreamError
+		if !errors.As(err, &se) {
+			t.Fatalf("err = %v, want *StreamError", err)
+		}
+		if se.Accesses != uint64(cut) {
+			t.Fatalf("StreamError.Accesses = %d, want %d", se.Accesses, cut)
+		}
+	})
+
+	t.Run("cancel", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		src := newWatchedSource(enc)
+		src.onRead = func(served int64) {
+			if served >= 3*batch {
+				cancel()
+			}
+		}
+		_, err := RunLanes(ctx, lanes, Options{}, open(src), 0, batch)
+		src.afterReturn(t)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if served := src.served.Load(); served >= n {
+			t.Fatalf("cancelled run decoded the whole trace (%d accesses)", served)
+		}
+	})
+}

@@ -5,7 +5,6 @@ import (
 
 	"cache8t/internal/core"
 	"cache8t/internal/stats"
-	"cache8t/internal/workload"
 )
 
 // Alloc measures how the write-allocation policy changes the picture (an
@@ -17,33 +16,29 @@ import (
 func Alloc(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("Allocation-policy sensitivity (mean over benchmarks)",
 		"policy", "RMW acc/req", "WG+RB acc/req", "WG+RB reduction")
+	var lanes []core.Lane
 	for _, noAlloc := range []bool{false, true} {
 		shape := cfg.Cache
 		shape.NoWriteAllocate = noAlloc
+		lanes = append(lanes, core.Lane{Kind: core.RMW, Cache: shape}, core.Lane{Kind: core.WGRB, Cache: shape})
+	}
+	m, err := RunLanes(cfg, lanes)
+	if err != nil {
+		return nil, err
+	}
+	for i, name := range []string{"write-allocate (paper)", "no-write-allocate"} {
 		var rmwSum, rbSum, redSum float64
-		n := 0
-		err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-			n++
-			res, err := runKinds(cfg, []core.Kind{core.RMW, core.WGRB}, shape, cfg.Opts, src)
-			if err != nil {
-				return err
-			}
-			rmwSum += res[0].AccessesPerRequest()
-			rbSum += res[1].AccessesPerRequest()
-			redSum += stats.Reduction(res[1].ArrayAccesses(), res[0].ArrayAccesses())
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		for _, res := range m.Results {
+			rmw, rb := res[2*i], res[2*i+1]
+			rmwSum += rmw.AccessesPerRequest()
+			rbSum += rb.AccessesPerRequest()
+			redSum += stats.Reduction(rb.ArrayAccesses(), rmw.ArrayAccesses())
 		}
-		name := "write-allocate (paper)"
-		if noAlloc {
-			name = "no-write-allocate"
-		}
+		n := float64(len(m.Results))
 		t.AddRowf(name,
-			fmt.Sprintf("%.3f", rmwSum/float64(n)),
-			fmt.Sprintf("%.3f", rbSum/float64(n)),
-			stats.Pct(redSum/float64(n)))
+			fmt.Sprintf("%.3f", rmwSum/n),
+			fmt.Sprintf("%.3f", rbSum/n),
+			stats.Pct(redSum/n))
 	}
 	return t, nil
 }

@@ -8,12 +8,15 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"cache8t/internal/cache"
 	"cache8t/internal/core"
 	"cache8t/internal/engine"
 	"cache8t/internal/stats"
+	"cache8t/internal/trace"
 	"cache8t/internal/workload"
 )
 
@@ -31,8 +34,10 @@ type Config struct {
 	// Opts tunes the controllers.
 	Opts core.Options
 	// Workers bounds the engine fan-out used by the grid helpers (0 means
-	// one per CPU). Tables are identical for every value — the engine
-	// aggregates by submission index — so this is purely a speed knob.
+	// one per CPU); a lane matrix runs ceil(Workers/lanes) profiles at
+	// once, since each profile's lanes run concurrently (RunLanes). Tables
+	// are identical for every value — the engine aggregates by submission
+	// index — so this is purely a speed knob.
 	Workers int
 	// Stream runs every benchmark from a freshly opened generator stream
 	// instead of a materialized slice, so memory stays constant regardless of
@@ -168,8 +173,8 @@ func forEachBench(cfg Config, fn func(prof workload.Profile, src *workload.Sourc
 // benchMap fans fn out across the benchmark suite on the engine — one job
 // per profile, covering both trace generation and simulation — and returns
 // the per-benchmark values in profile order. It is the parallel counterpart
-// of forEachBench for experiments whose per-benchmark work is pure, and the
-// path the heavy reduction figures run on.
+// of forEachBench for experiments whose per-benchmark work is pure and not
+// a set of lanes (the hierarchy matrix); lane experiments use RunLanes.
 func benchMap[T any](cfg Config, fn func(prof workload.Profile, src *workload.Source) (T, error)) ([]T, error) {
 	srcs := cfg.sources()
 	jobs := make([]engine.Job[T], len(srcs))
@@ -198,35 +203,126 @@ func runSource(cfg Config, kind core.Kind, shape cache.Config, opts core.Options
 	return core.RunShardedContext(cfg.ctx(), kind, shape, opts, s, 0, 0, cfg.Shards)
 }
 
-// runKinds drives several controller kinds over src. With sharding off the
-// kinds share a single decode of the stream (core.RunEachStream broadcast);
-// with Shards > 1 each kind instead runs set-sharded over its own fresh
-// open. Either way results are identical to serial per-kind runs.
-func runKinds(cfg Config, kinds []core.Kind, shape cache.Config, opts core.Options, src *workload.Source) ([]core.Result, error) {
-	if cfg.Shards > 1 {
-		out := make([]core.Result, len(kinds))
-		for i, k := range kinds {
-			res, err := runSource(cfg, k, shape, opts, src)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-	return core.RunEachStream(cfg.ctx(), kinds, shape, opts, src.Stream, 0, 0)
+// LaneMatrix is every benchmark profile run through the same set of lanes
+// (controller kind × cache shape): Results[p][l] is profile p on lane l.
+// It is the paper's method — one trace per benchmark, replayed through
+// every controller and every cache shape — and every multi-controller
+// figure is a view of one.
+type LaneMatrix struct {
+	Lanes    []core.Lane
+	Profiles []workload.Profile
+	Results  [][]core.Result
+	// Opens counts the trace opens the pass made: one per profile when the
+	// lanes share a stream, one per lane and profile when Shards > 1.
+	Opens int64
 }
 
-// reductions runs the benchmark trace through RMW, WG, and WG+RB over the
-// given cache shape and returns the two access-frequency reductions. The
-// three controllers run serially: callers already parallelize across
-// benchmarks, the outer axis with 25-way width.
-func reductions(cfg Config, shape cache.Config, src *workload.Source) (wg, wgrb float64, err error) {
-	res, err := runKinds(cfg, []core.Kind{core.RMW, core.WG, core.WGRB}, shape, cfg.Opts, src)
-	if err != nil {
-		return 0, 0, err
+// RunLanes runs every benchmark profile through every lane and returns the
+// matrix. Without sharding, each profile's trace is opened once and
+// broadcast to all its lanes (core.RunLanes), whose controllers run on
+// their own goroutines; the engine therefore runs ceil(workers/lanes)
+// profiles at once, workers being Config.Workers or one per CPU, so the
+// pass keeps about one goroutine per CPU busy without holding every
+// profile's caches at once. With Shards > 1 each lane instead runs
+// set-sharded over its own fresh open, Config.Workers profiles at a time.
+// A materialized source lives only for its profile's job. Results are
+// identical in every mode.
+func RunLanes(cfg Config, lanes []core.Lane) (*LaneMatrix, error) {
+	profs := workload.Profiles()
+	m := &LaneMatrix{Lanes: lanes, Profiles: profs}
+	var opens atomic.Int64
+	jobs := make([]engine.Job[[]core.Result], len(profs))
+	for i, prof := range profs {
+		prof := prof
+		jobs[i] = engine.Job[[]core.Result]{
+			Label:  prof.Name,
+			Weight: int64(cfg.AccessesPerBench) * int64(len(lanes)),
+			Fn: func(ctx context.Context) ([]core.Result, error) {
+				src := workload.NewSource(prof, cfg.Seed, cfg.AccessesPerBench, cfg.Stream)
+				open := func() (trace.Stream, error) {
+					opens.Add(1)
+					return src.Stream()
+				}
+				if cfg.Shards <= 1 {
+					return core.RunLanes(ctx, lanes, cfg.Opts, open, 0, 0)
+				}
+				out := make([]core.Result, len(lanes))
+				for k, l := range lanes {
+					s, err := open()
+					if err != nil {
+						return nil, err
+					}
+					if out[k], err = core.RunShardedContext(ctx, l.Kind, l.Cache, cfg.Opts, s, 0, 0, cfg.Shards); err != nil {
+						return nil, err
+					}
+				}
+				return out, nil
+			},
+		}
 	}
-	base := res[0].ArrayAccesses()
-	return stats.Reduction(res[1].ArrayAccesses(), base),
-		stats.Reduction(res[2].ArrayAccesses(), base), nil
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Shards <= 1 && len(lanes) > 1 {
+		workers = (workers + len(lanes) - 1) / len(lanes)
+	}
+	res, err := engine.Map(cfg.ctx(), engine.Config{Workers: workers}, jobs)
+	if err != nil {
+		return nil, err
+	}
+	m.Results = res
+	m.Opens = opens.Load()
+	return m, nil
+}
+
+// column returns the index of lane l; asking for a lane the matrix was not
+// run with is a programming error.
+func (m *LaneMatrix) column(l core.Lane) int {
+	for i, have := range m.Lanes {
+		if have == l {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("experiments: lane %v over %+v not in the matrix", l.Kind, l.Cache))
+}
+
+// InflationLanes are the lanes LaneMatrix.Inflation views: Conventional
+// and RMW over shape.
+func InflationLanes(shape cache.Config) []core.Lane {
+	return []core.Lane{{Kind: core.Conventional, Cache: shape}, {Kind: core.RMW, Cache: shape}}
+}
+
+// ReductionLanes are the lanes LaneMatrix.Reductions views: RMW, WG and
+// WG+RB over shape.
+func ReductionLanes(shape cache.Config) []core.Lane {
+	return []core.Lane{{Kind: core.RMW, Cache: shape}, {Kind: core.WG, Cache: shape}, {Kind: core.WGRB, Cache: shape}}
+}
+
+// Inflation views the InflationLanes over shape as per-profile rows.
+func (m *LaneMatrix) Inflation(shape cache.Config) []InflationRow {
+	l := InflationLanes(shape)
+	ci, ri := m.column(l[0]), m.column(l[1])
+	rows := make([]InflationRow, len(m.Results))
+	for p, res := range m.Results {
+		conv, rmw := res[ci].ArrayAccesses(), res[ri].ArrayAccesses()
+		rows[p] = InflationRow{Conventional: conv, RMW: rmw, Increase: float64(rmw)/float64(conv) - 1}
+	}
+	return rows
+}
+
+// Reductions views the ReductionLanes over shape as per-profile WG and
+// WG+RB reductions against RMW.
+func (m *LaneMatrix) Reductions(shape cache.Config) []ReductionPair {
+	l := ReductionLanes(shape)
+	bi, wi, ri := m.column(l[0]), m.column(l[1]), m.column(l[2])
+	pairs := make([]ReductionPair, len(m.Results))
+	for p, res := range m.Results {
+		base := res[bi].ArrayAccesses()
+		pairs[p] = ReductionPair{
+			WG:   stats.Reduction(res[wi].ArrayAccesses(), base),
+			WGRB: stats.Reduction(res[ri].ArrayAccesses(), base),
+		}
+	}
+	return pairs
 }

@@ -101,37 +101,19 @@ type InflationRow struct {
 	Increase     float64
 }
 
-// InflationMatrix runs every benchmark through the Conventional and RMW
-// controllers on the baseline shape and returns rows in profile order. It is
-// the machine-readable core of RMWInflation, shared with the regression
-// harness so goldens pin exactly what the table prints.
-func InflationMatrix(cfg Config) ([]InflationRow, error) {
-	return benchMap(cfg, func(prof workload.Profile, src *workload.Source) (InflationRow, error) {
-		res, err := runKinds(cfg, []core.Kind{core.Conventional, core.RMW}, cfg.Cache, cfg.Opts, src)
-		if err != nil {
-			return InflationRow{}, err
-		}
-		conv, rmw := res[0].ArrayAccesses(), res[1].ArrayAccesses()
-		return InflationRow{
-			Conventional: conv,
-			RMW:          rmw,
-			Increase:     float64(rmw)/float64(conv) - 1,
-		}, nil
-	})
-}
-
 // RMWInflation reproduces the §1 claim: "RMW increases cache access
 // frequency by more than 32% on average (max 47%)" relative to a
 // conventional write path.
 func RMWInflation(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("RMW cache-access inflation vs conventional single-access writes",
 		"benchmark", "conventional", "RMW", "increase")
-	rows, err := InflationMatrix(cfg)
+	m, err := RunLanes(cfg, InflationLanes(cfg.Cache))
 	if err != nil {
 		return nil, err
 	}
+	rows := m.Inflation(cfg.Cache)
 	var incs []float64
-	for i, prof := range workload.Profiles() {
+	for i, prof := range m.Profiles {
 		r := rows[i]
 		t.AddRowf(prof.Name, r.Conventional, r.RMW, stats.Pct(r.Increase))
 		incs = append(incs, r.Increase)
@@ -180,27 +162,17 @@ func Fig8Stream(g cache.Geometry) []trace.Access {
 // versus the RMW baseline — the quantity Figures 9-11 chart.
 type ReductionPair struct{ WG, WGRB float64 }
 
-// ReductionMatrix runs every benchmark through RMW/WG/WGRB over the given
-// cache shape and returns the reduction pairs in profile order, fanned out
-// across the engine. Figures 9-11 and cmd/regress both build on it, so the
-// golden artifacts pin exactly the numbers the tables print.
-func ReductionMatrix(cfg Config, shape cache.Config) ([]ReductionPair, error) {
-	return benchMap(cfg, func(prof workload.Profile, src *workload.Source) (ReductionPair, error) {
-		wg, rb, err := reductions(cfg, shape, src)
-		return ReductionPair{WG: wg, WGRB: rb}, err
-	})
-}
-
-// reductionFigure builds a Figure 9/10-style table for one cache shape. The
-// 25 benchmarks fan out across the engine; rows land in profile order.
+// reductionFigure builds a Figure 9/10-style table for one cache shape from
+// the ReductionLanes over it; rows land in profile order.
 func reductionFigure(cfg Config, title string, shape cache.Config, paperWG, paperRB string) (*stats.Table, error) {
-	pairs, err := ReductionMatrix(cfg, shape)
+	m, err := RunLanes(cfg, ReductionLanes(shape))
 	if err != nil {
 		return nil, err
 	}
+	pairs := m.Reductions(shape)
 	t := stats.NewTable(title, "benchmark", "WG", "WG+RB")
 	var wgs, rbs []float64
-	for i, prof := range workload.Profiles() {
+	for i, prof := range m.Profiles {
 		t.AddRowf(prof.Name, stats.Pct(pairs[i].WG), stats.Pct(pairs[i].WGRB))
 		wgs = append(wgs, pairs[i].WG)
 		rbs = append(rbs, pairs[i].WGRB)
@@ -233,7 +205,8 @@ func Fig10(cfg Config) (*stats.Table, error) {
 
 // Fig11 reproduces Figure 11: reduction at 32 KB and 128 KB capacities with
 // 32 B blocks. Paper: WG 26.9%/26.6% and WG+RB 32.6%/32.1% — essentially
-// insensitive to capacity.
+// insensitive to capacity. Both capacities' six lanes share one trace per
+// benchmark.
 func Fig11(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("Figure 11 — access-frequency reduction vs cache size (4w/32B)",
 		"benchmark", "WG 32KB", "WG+RB 32KB", "WG 128KB", "WG+RB 128KB")
@@ -241,23 +214,14 @@ func Fig11(cfg Config) (*stats.Table, error) {
 	small.SizeBytes = 32 * 1024
 	big := cfg.Cache
 	big.SizeBytes = 128 * 1024
-	pairs, err := benchMap(cfg, func(prof workload.Profile, src *workload.Source) ([2]ReductionPair, error) {
-		ws, rs, err := reductions(cfg, small, src)
-		if err != nil {
-			return [2]ReductionPair{}, err
-		}
-		wb, rb, err := reductions(cfg, big, src)
-		if err != nil {
-			return [2]ReductionPair{}, err
-		}
-		return [2]ReductionPair{{ws, rs}, {wb, rb}}, nil
-	})
+	m, err := RunLanes(cfg, append(ReductionLanes(small), ReductionLanes(big)...))
 	if err != nil {
 		return nil, err
 	}
+	smalls, bigs := m.Reductions(small), m.Reductions(big)
 	var wgS, rbS, wgB, rbB []float64
-	for i, prof := range workload.Profiles() {
-		sm, bg := pairs[i][0], pairs[i][1]
+	for i, prof := range m.Profiles {
+		sm, bg := smalls[i], bigs[i]
 		t.AddRowf(prof.Name, stats.Pct(sm.WG), stats.Pct(sm.WGRB), stats.Pct(bg.WG), stats.Pct(bg.WGRB))
 		wgS = append(wgS, sm.WG)
 		rbS = append(rbS, sm.WGRB)

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"cache8t/internal/core"
 	"cache8t/internal/stats"
-	"cache8t/internal/workload"
 )
 
 // Fills answers the natural reviewer question about the paper's counting
@@ -16,29 +14,23 @@ func Fills(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("Counting-convention sensitivity: reductions with miss traffic included",
 		"counting", "WG", "WG+RB")
 	for _, countFills := range []bool{false, true} {
-		opts := cfg.Opts
-		opts.CountFillTraffic = countFills
-		var wgSum, rbSum float64
-		n := 0
-		err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-			n++
-			res, err := runKinds(cfg, []core.Kind{core.RMW, core.WG, core.WGRB}, cfg.Cache, opts, src)
-			if err != nil {
-				return err
-			}
-			base := res[0].ArrayAccesses()
-			wgSum += stats.Reduction(res[1].ArrayAccesses(), base)
-			rbSum += stats.Reduction(res[2].ArrayAccesses(), base)
-			return nil
-		})
+		run := cfg
+		run.Opts.CountFillTraffic = countFills
+		m, err := RunLanes(run, ReductionLanes(cfg.Cache))
 		if err != nil {
 			return nil, err
 		}
+		var wgSum, rbSum float64
+		for _, p := range m.Reductions(cfg.Cache) {
+			wgSum += p.WG
+			rbSum += p.WGRB
+		}
+		n := float64(len(m.Results))
 		name := "requests only (paper)"
 		if countFills {
 			name = "requests + fills/evictions"
 		}
-		t.AddRowf(name, stats.Pct(wgSum/float64(n)), stats.Pct(rbSum/float64(n)))
+		t.AddRowf(name, stats.Pct(wgSum/n), stats.Pct(rbSum/n))
 	}
 	return t, nil
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"cache8t/internal/cache"
@@ -112,6 +113,26 @@ type Check struct {
 	Bands report.Bands
 	// Build reruns the experiment and assembles the artifact.
 	Build func(Options) (*report.Artifact, error)
+	// Lanes, when set, are the (kind, shape) lanes the check's artifact is
+	// assembled from. Run simulates the lanes of every such check in one
+	// shared pass and hands each check's Assemble the whole matrix; Build
+	// is then the check run on its own lanes alone.
+	Lanes []core.Lane
+	// Assemble builds the artifact from a lane matrix holding Lanes.
+	Assemble func(Options, *experiments.LaneMatrix) *report.Artifact
+}
+
+// laneCheck completes a check that is a view of a lane matrix: its Build
+// runs its own lanes and assembles the result.
+func laneCheck(c Check) Check {
+	c.Build = func(o Options) (*report.Artifact, error) {
+		m, err := experiments.RunLanes(o.expConfig(), c.Lanes)
+		if err != nil {
+			return nil, err
+		}
+		return c.Assemble(o, m), nil
+	}
+	return c
 }
 
 // reductionBands is the shared tolerance set for the Figure 9/10/11 family:
@@ -128,6 +149,10 @@ var reductionBands = report.Bands{
 // Checks returns the regression matrix in paper order: the figures whose
 // numbers are the repository's reason to exist.
 func Checks() []Check {
+	base := cache.DefaultConfig()
+	fig10 := base
+	fig10.SizeBytes = 32 * 1024
+	fig10.BlockBytes = 64
 	return []Check{
 		{
 			ID:    "fig8",
@@ -137,7 +162,7 @@ func Checks() []Check {
 			Bands: report.Bands{},
 			Build: buildFig8,
 		},
-		{
+		laneCheck(Check{
 			ID:    "rmw",
 			Title: "§1 RMW access inflation vs conventional writes",
 			Bands: report.Bands{
@@ -147,33 +172,18 @@ func Checks() []Check {
 				// Raw array-access totals compare exactly: they are integer
 				// event counts and any change means the controllers changed.
 			},
-			Build: buildRMW,
-		},
-		{
-			ID:    "fig9",
-			Title: "Figure 9 access reduction, 64KB/4w/32B",
-			Bands: reductionBands,
-			Build: func(o Options) (*report.Artifact, error) {
-				return buildReduction(o, "fig9", cache.DefaultConfig())
-			},
-		},
-		{
-			ID:    "fig10",
-			Title: "Figure 10 access reduction, 32KB/4w/64B",
-			Bands: reductionBands,
-			Build: func(o Options) (*report.Artifact, error) {
-				shape := cache.DefaultConfig()
-				shape.SizeBytes = 32 * 1024
-				shape.BlockBytes = 64
-				return buildReduction(o, "fig10", shape)
-			},
-		},
-		{
-			ID:    "fig11",
-			Title: "Figure 11 access reduction vs capacity (32KB & 128KB, 4w/32B)",
-			Bands: reductionBands,
-			Build: buildFig11,
-		},
+			Lanes:    experiments.InflationLanes(base),
+			Assemble: assembleRMW,
+		}),
+		reductionCheck("fig9", "Figure 9 access reduction, 64KB/4w/32B", base),
+		reductionCheck("fig10", "Figure 10 access reduction, 32KB/4w/64B", fig10),
+		laneCheck(Check{
+			ID:       "fig11",
+			Title:    "Figure 11 access reduction vs capacity (32KB & 128KB, 4w/32B)",
+			Bands:    reductionBands,
+			Lanes:    fig11Lanes(),
+			Assemble: assembleFig11,
+		}),
 		{
 			ID:    "hier",
 			Title: "Two-level hierarchy — L2-visible traffic per L1 scheme, TS and 9T points",
@@ -211,6 +221,13 @@ func (s *Summary) OK() bool { return len(s.Failed) == 0 }
 // Drift renders a per-metric diff table on opts.Out; the error is reserved
 // for harness failures (missing golden, simulation error), not drift —
 // callers decide the exit code from the Summary.
+//
+// The lanes of every lane check are simulated first, in one shared pass
+// that generates each profile's trace once; opts.Out gets one line for that
+// pass, and each such check's line names it instead of a time of its own.
+// An artifact's WallMS (metadata, never compared) is the time from the
+// start of its check to its artifact; for a check assembled from the shared
+// pass it also counts the whole pass, so those checks' WallMS overlap.
 func Run(opts Options, ids ...string) (*Summary, error) {
 	checks := Checks()
 	if len(ids) > 0 {
@@ -224,13 +241,25 @@ func Run(opts Options, ids ...string) (*Summary, error) {
 		}
 	}
 	sum := &Summary{}
+	plan, err := runPlan(opts, checks)
+	if err != nil {
+		return sum, err
+	}
 	for _, c := range checks {
 		start := time.Now()
-		art, cached, err := buildCached(opts, c)
+		art, cached, err := plan.build(opts, c)
 		if err != nil {
 			return sum, fmt.Errorf("regress: %s: %w", c.ID, err)
 		}
-		art.WallMS = float64(time.Since(start).Microseconds()) / 1e3
+		took := time.Since(start)
+		art.WallMS = float64(took.Microseconds()) / 1e3
+		when := took.Round(time.Millisecond).String()
+		if plan.shared(c) {
+			// The check's simulation ran in the shared lane pass; its own
+			// time is only the assembly.
+			art.WallMS += plan.wallMS
+			when = "from the shared lane pass"
+		}
 		note := ""
 		if cached {
 			note = " (cached)"
@@ -240,8 +269,8 @@ func Run(opts Options, ids ...string) (*Summary, error) {
 			if err := report.WriteFile(path, art); err != nil {
 				return sum, fmt.Errorf("regress: %s: %w", c.ID, err)
 			}
-			fmt.Fprintf(opts.out(), "regress: %s: golden updated (%s, %d metrics, %v)\n",
-				c.ID, path, len(art.Metrics), time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(opts.out(), "regress: %s: golden updated (%s, %d metrics, %s)\n",
+				c.ID, path, len(art.Metrics), when)
 			sum.Updated = append(sum.Updated, c.ID)
 			continue
 		}
@@ -251,8 +280,8 @@ func Run(opts Options, ids ...string) (*Summary, error) {
 		}
 		diff := report.Compare(golden, art, c.Bands)
 		if diff.OK() && !opts.Full {
-			fmt.Fprintf(opts.out(), "regress: %s ok — %d metrics within tolerance (%v)%s\n",
-				c.ID, len(diff.Metrics), time.Since(start).Round(time.Millisecond), note)
+			fmt.Fprintf(opts.out(), "regress: %s ok — %d metrics within tolerance (%s)%s\n",
+				c.ID, len(diff.Metrics), when, note)
 			sum.Passed = append(sum.Passed, c.ID)
 			continue
 		}
@@ -274,27 +303,119 @@ func Run(opts Options, ids ...string) (*Summary, error) {
 	return sum, nil
 }
 
+// lanePlan is the shared simulation behind one Run: the distinct lanes of
+// every lane check that the result cache did not serve, simulated in one
+// pass, so each profile's trace is generated once for the whole matrix.
+type lanePlan struct {
+	// hits are the lane checks' artifacts the result cache served.
+	hits map[string]*report.Artifact
+	// matrix holds the shared pass's results (nil when nothing was run).
+	matrix *experiments.LaneMatrix
+	wallMS float64
+}
+
+// runPlan looks every lane check up in the result cache, then runs the
+// lanes of the rest in one pass and prints one progress line for it.
+func runPlan(opts Options, checks []Check) (*lanePlan, error) {
+	p := &lanePlan{hits: map[string]*report.Artifact{}}
+	var lanes []core.Lane
+	for _, c := range checks {
+		if c.Lanes == nil {
+			continue
+		}
+		art, hit, err := cacheGet(opts, c.ID)
+		if err != nil {
+			return nil, fmt.Errorf("regress: %s: %w", c.ID, err)
+		}
+		if hit {
+			p.hits[c.ID] = art
+			continue
+		}
+		for _, l := range c.Lanes {
+			if !slices.Contains(lanes, l) {
+				lanes = append(lanes, l)
+			}
+		}
+	}
+	if len(lanes) == 0 {
+		return p, nil
+	}
+	start := time.Now()
+	m, err := experiments.RunLanes(opts.expConfig(), lanes)
+	if err != nil {
+		return nil, fmt.Errorf("regress: lane pass: %w", err)
+	}
+	took := time.Since(start)
+	p.matrix, p.wallMS = m, float64(took.Microseconds())/1e3
+	fmt.Fprintf(opts.out(), "regress: shared lane pass: %d lanes × %d profiles, %d trace opens (%v)\n",
+		len(lanes), len(m.Profiles), m.Opens, took.Round(time.Millisecond))
+	return p, nil
+}
+
+// shared reports whether c's artifact is assembled from the shared pass.
+func (p *lanePlan) shared(c Check) bool {
+	return c.Lanes != nil && p.hits[c.ID] == nil
+}
+
+// build returns c's artifact: a cache hit found while planning, a view of
+// the shared pass, or c's own Build for a check without lanes.
+func (p *lanePlan) build(opts Options, c Check) (*report.Artifact, bool, error) {
+	if art := p.hits[c.ID]; art != nil {
+		return art, true, nil
+	}
+	if c.Lanes != nil {
+		return buildCached(opts, c.ID, func() (*report.Artifact, error) {
+			return c.Assemble(opts, p.matrix), nil
+		})
+	}
+	return buildCached(opts, c.ID, func() (*report.Artifact, error) { return c.Build(opts) })
+}
+
+// cacheKey is a check's result-cache key.
+func cacheKey(opts Options, id string) (string, error) {
+	return report.Hash(map[string]string{
+		"kind":  "regress-check",
+		"check": id,
+		"n":     fmt.Sprint(opts.N),
+		"seed":  fmt.Sprint(opts.Seed),
+	})
+}
+
+// cacheGet looks a check's artifact up in the result cache without building
+// it. Update runs never read the cache — regenerating goldens from it would
+// be circular.
+func cacheGet(opts Options, id string) (*report.Artifact, bool, error) {
+	if opts.Cache == nil || opts.Update {
+		return nil, false, nil
+	}
+	key, err := cacheKey(opts, id)
+	if err != nil {
+		return nil, false, err
+	}
+	blob, _, ok := opts.Cache.Get(key)
+	if !ok {
+		return nil, false, nil
+	}
+	art, err := report.Decode(blob)
+	return art, err == nil, err
+}
+
 // buildCached builds a check's artifact, through the result cache when one
 // is attached: the stored blob is the artifact's canonical encoding, so a
 // hit decodes to exactly what a rebuild would produce (content hash
 // re-verified by both the CAS and report.Decode). Update runs always
-// rebuild — regenerating goldens from a cache would be circular.
-func buildCached(opts Options, c Check) (*report.Artifact, bool, error) {
+// rebuild.
+func buildCached(opts Options, id string, build func() (*report.Artifact, error)) (*report.Artifact, bool, error) {
 	if opts.Cache == nil || opts.Update {
-		art, err := c.Build(opts)
+		art, err := build()
 		return art, false, err
 	}
-	key, err := report.Hash(map[string]string{
-		"kind":  "regress-check",
-		"check": c.ID,
-		"n":     fmt.Sprint(opts.N),
-		"seed":  fmt.Sprint(opts.Seed),
-	})
+	key, err := cacheKey(opts, id)
 	if err != nil {
 		return nil, false, err
 	}
 	blob, cached, err := opts.Cache.Do(opts.ctx(), key, func() ([]byte, error) {
-		art, err := c.Build(opts)
+		art, err := build()
 		if err != nil {
 			return nil, err
 		}
@@ -341,17 +462,14 @@ func buildFig8(opts Options) (*report.Artifact, error) {
 	return a, nil
 }
 
-// buildRMW pins the §1 inflation claim: per-benchmark conventional and RMW
-// array totals (exact) plus the relative increases (banded).
-func buildRMW(opts Options) (*report.Artifact, error) {
+// assembleRMW pins the §1 inflation claim: per-benchmark conventional and
+// RMW array totals (exact) plus the relative increases (banded).
+func assembleRMW(opts Options, m *experiments.LaneMatrix) *report.Artifact {
 	shape := cache.DefaultConfig()
 	a := newArtifact(opts, "rmw", shape)
-	rows, err := experiments.InflationMatrix(opts.expConfig())
-	if err != nil {
-		return nil, err
-	}
+	rows := m.Inflation(shape)
 	incs := make([]float64, 0, len(rows))
-	for i, prof := range workload.Profiles() {
+	for i, prof := range m.Profiles {
 		r := rows[i]
 		a.SetMetric("conventional_accesses."+prof.Name, float64(r.Conventional))
 		a.SetMetric("rmw_accesses."+prof.Name, float64(r.RMW))
@@ -360,41 +478,57 @@ func buildRMW(opts Options) (*report.Artifact, error) {
 	}
 	a.SetMetric("mean.inflation", stats.Mean(incs))
 	a.SetMetric("max.inflation", stats.Max(incs))
-	return a, nil
+	return a
 }
 
-// buildReduction pins one Figure 9/10-style shape: per-benchmark WG and
+// reductionCheck pins one Figure 9/10-style shape: per-benchmark WG and
 // WG+RB reductions, their means, and deterministic bootstrap CIs on the
 // means (the paper's headline 27%/33% numbers are means over 25 benchmarks;
 // the CI says how tight that mean is at this N).
-func buildReduction(opts Options, check string, shape cache.Config) (*report.Artifact, error) {
-	a := newArtifact(opts, check, shape)
-	pairs, err := experiments.ReductionMatrix(opts.expConfig(), shape)
-	if err != nil {
-		return nil, err
-	}
-	addReductionMetrics(a, "", pairs, opts.Seed)
-	return a, nil
+func reductionCheck(id, title string, shape cache.Config) Check {
+	return laneCheck(Check{
+		ID:    id,
+		Title: title,
+		Bands: reductionBands,
+		Lanes: experiments.ReductionLanes(shape),
+		Assemble: func(opts Options, m *experiments.LaneMatrix) *report.Artifact {
+			a := newArtifact(opts, id, shape)
+			addReductionMetrics(a, "", m.Reductions(shape), opts.Seed)
+			return a
+		},
+	})
 }
 
-// buildFig11 pins the capacity-sensitivity figure: the same reductions at
-// 32KB and 128KB, prefixed per capacity.
-func buildFig11(opts Options) (*report.Artifact, error) {
-	base := cache.DefaultConfig()
-	a := newArtifact(opts, "fig11", base)
-	for _, size := range []struct {
-		prefix string
-		sizeKB int
-	}{{"32k.", 32}, {"128k.", 128}} {
-		shape := base
-		shape.SizeBytes = size.sizeKB * 1024
-		pairs, err := experiments.ReductionMatrix(opts.expConfig(), shape)
-		if err != nil {
-			return nil, err
-		}
-		addReductionMetrics(a, size.prefix, pairs, opts.Seed)
+// fig11Sizes are Figure 11's capacities with their metric prefixes; the
+// rest of the shape is the baseline's.
+var fig11Sizes = []struct {
+	prefix string
+	sizeKB int
+}{{"32k.", 32}, {"128k.", 128}}
+
+func fig11Shape(sizeKB int) cache.Config {
+	shape := cache.DefaultConfig()
+	shape.SizeBytes = sizeKB * 1024
+	return shape
+}
+
+// fig11Lanes are the reduction lanes at every Figure 11 capacity.
+func fig11Lanes() []core.Lane {
+	var lanes []core.Lane
+	for _, s := range fig11Sizes {
+		lanes = append(lanes, experiments.ReductionLanes(fig11Shape(s.sizeKB))...)
 	}
-	return a, nil
+	return lanes
+}
+
+// assembleFig11 pins the capacity-sensitivity figure: the same reductions
+// at 32KB and 128KB, prefixed per capacity.
+func assembleFig11(opts Options, m *experiments.LaneMatrix) *report.Artifact {
+	a := newArtifact(opts, "fig11", cache.DefaultConfig())
+	for _, s := range fig11Sizes {
+		addReductionMetrics(a, s.prefix, m.Reductions(fig11Shape(s.sizeKB)), opts.Seed)
+	}
+	return a
 }
 
 // addReductionMetrics records one shape's reduction pairs under prefix:

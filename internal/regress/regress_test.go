@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"cache8t/internal/report"
+	"cache8t/internal/rescache"
+	"cache8t/internal/workload"
 )
 
 // testOptions keeps the end-to-end tests fast: a tiny stream into a temp
@@ -181,5 +183,124 @@ func TestAppendBench(t *testing.T) {
 	}
 	if len(entries) != 2 || entries[0].GitSHA != "abc" || entries[1].GitSHA != "def" {
 		t.Fatalf("entries = %+v, want the two appended in order", entries)
+	}
+}
+
+// normalized is an artifact's canonical bytes, as written to disk and read
+// back, with the metadata artifacts carry by design (git SHA, wall time,
+// engine snapshot) cleared.
+func normalized(t *testing.T, a *report.Artifact) []byte {
+	t.Helper()
+	enc, err := report.Encode(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err = report.Decode(enc); err != nil {
+		t.Fatal(err)
+	}
+	a.GitSHA = ""
+	a.WallMS = 0
+	a.Engine = nil
+	b, err := report.Canonical(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestPlannedArtifactsMatchPerCheckBuilds runs the lane checks through Run,
+// which simulates all their lanes in one shared pass, and requires every
+// artifact to equal the check's own Build byte for byte, in streamed,
+// materialized and sharded modes. The streamed, unsharded pass must open
+// each profile's trace exactly once.
+func TestPlannedArtifactsMatchPerCheckBuilds(t *testing.T) {
+	ids := []string{"rmw", "fig9", "fig10", "fig11"}
+	for _, mode := range []struct {
+		name   string
+		stream bool
+		shards int
+	}{{"streamed", true, 0}, {"materialized", false, 0}, {"sharded", false, 4}} {
+		t.Run(mode.name, func(t *testing.T) {
+			var out bytes.Buffer
+			opts := testOptions(t, &out)
+			opts.N = 1000
+			opts.Stream = mode.stream
+			opts.Shards = mode.shards
+			opts.Update = true
+			if _, err := Run(opts, ids...); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range ids {
+				c, err := CheckByID(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := c.Build(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := report.ReadFile(filepath.Join(opts.GoldenDir, id+".json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(normalized(t, got), normalized(t, want)) {
+					t.Fatalf("%s: planned artifact differs from its own build", id)
+				}
+			}
+			if !strings.Contains(out.String(), "shared lane pass: 13 lanes × 25 profiles") {
+				t.Fatalf("want one shared pass over 13 lanes:\n%s", out.String())
+			}
+		})
+	}
+
+	t.Run("opens", func(t *testing.T) {
+		var out bytes.Buffer
+		opts := testOptions(t, &out)
+		opts.N = 1000
+		opts.Stream = true
+		checks := make([]Check, len(ids))
+		for i, id := range ids {
+			var err error
+			if checks[i], err = CheckByID(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := runPlan(opts, checks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := p.matrix.Opens, int64(len(workload.Profiles())); got != want {
+			t.Fatalf("streamed pass opened %d traces, want %d (one per profile)", got, want)
+		}
+	})
+}
+
+// TestCachedCheckContributesNoLanes pins that a check the result cache
+// serves is not simulated: a warm cache leaves nothing for the shared pass.
+func TestCachedCheckContributesNoLanes(t *testing.T) {
+	var out bytes.Buffer
+	opts := testOptions(t, &out)
+	opts.N = 1000
+	rc, err := rescache.Open(rescache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	opts.Update = true
+	if _, err := Run(opts, "rmw", "fig9"); err != nil {
+		t.Fatal(err)
+	}
+	opts.Update = false
+	opts.Cache = rc
+	if sum, err := Run(opts, "rmw", "fig9"); err != nil || !sum.OK() {
+		t.Fatalf("cold cached run: %v, failed %v\n%s", err, sum.Failed, out.String())
+	}
+	out.Reset()
+	sum, err := Run(opts, "rmw", "fig9")
+	if err != nil || !sum.OK() {
+		t.Fatalf("warm cached run: %v, failed %v\n%s", err, sum.Failed, out.String())
+	}
+	if strings.Contains(out.String(), "shared lane pass") || strings.Count(out.String(), "(cached)") != 2 {
+		t.Fatalf("warm run simulated, or did not serve both checks from the cache:\n%s", out.String())
 	}
 }

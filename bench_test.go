@@ -93,7 +93,7 @@ func BenchmarkFig8Example(b *testing.B) {
 	stream := experiments.Fig8Stream(g)
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(core.WGRB, cfg.Cache, cfg.Opts, trace.FromSlice(stream), 0)
+		res, err := core.RunStreamContext(context.Background(), core.WGRB, cfg.Cache, cfg.Opts, trace.FromSlice(stream), 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(core.WGRB, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0)
+		res, err := core.RunStreamContext(context.Background(), core.WGRB, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -328,7 +328,14 @@ func BenchmarkEngineSweep(b *testing.B) {
 	shape := cache.DefaultConfig()
 	var jobs []engine.Job[core.Result]
 	for _, accs := range streams {
-		jobs = append(jobs, core.Jobs(kinds, shape, core.Options{}, accs)...)
+		for _, k := range kinds {
+			jobs = append(jobs, engine.Job[core.Result]{
+				Label: k.String(),
+				Fn: func(ctx context.Context) (core.Result, error) {
+					return core.RunStreamContext(ctx, k, shape, core.Options{}, trace.FromSlice(accs), 0, 0)
+				},
+			})
+		}
 	}
 	accessesPerRun := float64(perBench * len(jobs))
 

@@ -72,7 +72,7 @@ func main() {
 					return row{}, err
 				}
 				an := core.Analyze(trace.FromSlice(accs), g, 0)
-				res, err := core.RunAllContext(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, cfg, core.Options{}, accs, 1)
+				res, err := core.RunEachStreamSerial(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, cfg, core.Options{}, replay(accs), 0, 0)
 				if err != nil {
 					return row{}, err
 				}
@@ -173,7 +173,7 @@ func sensitivity(ctx context.Context, ecfg engine.Config, n int) error {
 					if err != nil {
 						return red{}, err
 					}
-					res, err := core.RunAllContext(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, s.cfg, core.Options{}, accs, 1)
+					res, err := core.RunEachStreamSerial(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, s.cfg, core.Options{}, replay(accs), 0, 0)
 					if err != nil {
 						return red{}, err
 					}
@@ -198,4 +198,9 @@ func sensitivity(ctx context.Context, ecfg engine.Config, n int) error {
 		fmt.Printf("%-18s WG=%.3f WG+RB=%.3f\n", s.name, sumWG/k, sumRB/k)
 	}
 	return nil
+}
+
+// replay opens accs afresh for each controller of a run.
+func replay(accs []trace.Access) func() (trace.Stream, error) {
+	return func() (trace.Stream, error) { return trace.FromSlice(accs), nil }
 }

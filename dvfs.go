@@ -1,6 +1,7 @@
 package cache8t
 
 import (
+	"context"
 	"fmt"
 
 	"cache8t/internal/cache"
@@ -55,7 +56,7 @@ func DVFSSweep(cfg Config, name string, seed uint64, n, levels int) ([]DVFSPoint
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Run(kind, cache.Config{
+	res, err := core.RunStreamContext(context.Background(), kind, cache.Config{
 		SizeBytes:  cfg.CacheSizeBytes,
 		Ways:       cfg.Ways,
 		BlockBytes: cfg.BlockBytes,
@@ -64,7 +65,7 @@ func DVFSSweep(cfg Config, name string, seed uint64, n, levels int) ([]DVFSPoint
 	}, core.Options{
 		BufferDepth:          cfg.BufferDepth,
 		DisableSilentElision: cfg.DisableSilentElision,
-	}, gen, n)
+	}, gen, n, 0)
 	if err != nil {
 		return nil, err
 	}

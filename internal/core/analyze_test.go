@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestAnalyzeMatchesControllerSilentCount(t *testing.T) {
 	cfg := cache.DefaultConfig()
 	g := cache.MustGeometry(cfg.SizeBytes, cfg.Ways, cfg.BlockBytes)
 	a := Analyze(trace.FromSlice(stream), g, 0)
-	r, err := Run(WG, cfg, Options{}, trace.FromSlice(stream), 0)
+	r, err := RunStreamContext(context.Background(), WG, cfg, Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -22,7 +23,7 @@ func BenchmarkRunMaterialized(b *testing.B) {
 	b.SetBytes(int64(len(accs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(WG, smallCfg(), Options{}, trace.FromSlice(accs), 0); err != nil {
+		if _, err := RunStreamContext(context.Background(), WG, smallCfg(), Options{}, trace.FromSlice(accs), 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +66,7 @@ func BenchmarkRunStreamedBinary(b *testing.B) {
 	b.SetBytes(int64(len(accs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunStream(WG, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(data)), 0, 0); err != nil {
+		if _, err := RunStreamContext(context.Background(), WG, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(data)), 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -24,7 +25,7 @@ func TestCoalesceMergesSameBlockWrites(t *testing.T) {
 			Kind: trace.Write, Addr: uint64(i * 8), Size: 8, Data: uint64(i + 1),
 		})
 	}
-	res, err := Run(Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, err := RunStreamContext(context.Background(), Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestCoalesceSilentElision(t *testing.T) {
 		{Kind: trace.Write, Addr: 0, Size: 8, Data: 0}, // silent on zeroed memory
 		{Kind: trace.Write, Addr: 8, Size: 8, Data: 0},
 	}
-	res, err := Run(Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, err := RunStreamContext(context.Background(), Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,11 @@ func TestWGBeatsCoalescerOnSetLocality(t *testing.T) {
 			Kind: trace.Write, Addr: addr + uint64(i/2*8)%32, Size: 8, Data: uint64(i + 1),
 		})
 	}
-	wg, err := Run(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	wg, err := RunStreamContext(context.Background(), WG, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := Run(Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	co, err := RunStreamContext(context.Background(), Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestWGBeatsCoalescerOnSetLocality(t *testing.T) {
 func TestCoalesceCostBetweenConventionalAndRMW(t *testing.T) {
 	for seed := uint64(90); seed < 94; seed++ {
 		stream := randomStream(seed, 6000, 16384)
-		res, err := RunAll([]Kind{Conventional, Coalesce, RMW}, smallCfg(), Options{}, stream)
+		res, err := RunEachStreamSerial(context.Background(), []Kind{Conventional, Coalesce, RMW}, smallCfg(), Options{}, sliceOpener(stream), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestCoalesceReadToPendingBlockFlushes(t *testing.T) {
 		{Kind: trace.Write, Addr: 0, Size: 8, Data: 5},
 		{Kind: trace.Read, Addr: 8, Size: 8}, // same block: must flush first
 	}
-	res, err := Run(Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, err := RunStreamContext(context.Background(), Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

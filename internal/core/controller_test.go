@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -73,6 +74,11 @@ func smallCfg() cache.Config {
 	return cache.Config{SizeBytes: 1024, Ways: 2, BlockBytes: 32, Policy: cache.LRU}
 }
 
+// sliceOpener replays accs on every open, for the RunEachStream family.
+func sliceOpener(accs []trace.Access) func() (trace.Stream, error) {
+	return func() (trace.Stream, error) { return trace.FromSlice(accs), nil }
+}
+
 func TestEquivalenceAcrossControllers(t *testing.T) {
 	// The DESIGN.md §5 correctness invariant: every controller is
 	// observationally identical to the RMW baseline.
@@ -120,7 +126,7 @@ func TestAccessCountOrderingOnRandomStreams(t *testing.T) {
 	// Conventional 6T reference is the floor.
 	for seed := uint64(10); seed < 16; seed++ {
 		stream := randomStream(seed, 8000, 16384)
-		results, err := RunAll([]Kind{Conventional, RMW, WG, WGRB}, smallCfg(), Options{}, stream)
+		results, err := RunEachStreamSerial(context.Background(), []Kind{Conventional, RMW, WG, WGRB}, smallCfg(), Options{}, sliceOpener(stream), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +152,7 @@ func TestRMWOccupiesBothPorts(t *testing.T) {
 		{Kind: trace.Write, Addr: 0, Size: 4, Data: 1},
 		{Kind: trace.Write, Addr: 64, Size: 4, Data: 2},
 	}
-	r, err := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	r, err := RunStreamContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +168,8 @@ func TestWGFreesReadPortForGroupedWrites(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		stream = append(stream, trace.Access{Kind: trace.Write, Addr: 0, Size: 4, Data: uint64(i + 1)})
 	}
-	rmw, _ := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
-	wg, _ := Run(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	rmw, _ := RunStreamContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+	wg, _ := RunStreamContext(context.Background(), WG, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if rmw.Events.ReadPortBusy() != 10 {
 		t.Errorf("RMW read-port ops = %d, want 10", rmw.Events.ReadPortBusy())
 	}
@@ -183,8 +189,8 @@ func TestSilentElisionRemovesWriteback(t *testing.T) {
 		{Kind: trace.Write, Addr: 8, Size: 8, Data: 0},
 		{Kind: trace.Write, Addr: 16, Size: 8, Data: 0},
 	}
-	on, _ := Run(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
-	off, _ := Run(WG, smallCfg(), Options{DisableSilentElision: true}, trace.FromSlice(stream), 0)
+	on, _ := RunStreamContext(context.Background(), WG, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+	off, _ := RunStreamContext(context.Background(), WG, smallCfg(), Options{DisableSilentElision: true}, trace.FromSlice(stream), 0, 0)
 	if on.Counters.BufferWritebacks != 0 {
 		t.Errorf("with elision: %d writebacks, want 0", on.Counters.BufferWritebacks)
 	}
@@ -208,8 +214,8 @@ func TestDeeperBufferGroupsInterleavedSets(t *testing.T) {
 		addr := uint64((i % 2) * g.BlockBytes) // set 0 / set 1
 		stream = append(stream, trace.Access{Kind: trace.Write, Addr: addr, Size: 4, Data: uint64(i)})
 	}
-	d1, _ := Run(WG, smallCfg(), Options{BufferDepth: 1}, trace.FromSlice(stream), 0)
-	d2, _ := Run(WG, smallCfg(), Options{BufferDepth: 2}, trace.FromSlice(stream), 0)
+	d1, _ := RunStreamContext(context.Background(), WG, smallCfg(), Options{BufferDepth: 1}, trace.FromSlice(stream), 0, 0)
+	d2, _ := RunStreamContext(context.Background(), WG, smallCfg(), Options{BufferDepth: 2}, trace.FromSlice(stream), 0, 0)
 	if d2.ArrayAccesses() >= d1.ArrayAccesses() {
 		t.Errorf("depth 2 (%d) not better than depth 1 (%d) on ping-pong writes",
 			d2.ArrayAccesses(), d1.ArrayAccesses())
@@ -221,8 +227,8 @@ func TestDeeperBufferGroupsInterleavedSets(t *testing.T) {
 
 func TestCountFillTrafficAddsMissCosts(t *testing.T) {
 	stream := randomStream(3, 2000, 65536) // big footprint: many misses
-	base, _ := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
-	with, _ := Run(RMW, smallCfg(), Options{CountFillTraffic: true}, trace.FromSlice(stream), 0)
+	base, _ := RunStreamContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+	with, _ := RunStreamContext(context.Background(), RMW, smallCfg(), Options{CountFillTraffic: true}, trace.FromSlice(stream), 0, 0)
 	if with.ArrayAccesses() <= base.ArrayAccesses() {
 		t.Error("CountFillTraffic did not add accesses")
 	}
@@ -326,8 +332,8 @@ func TestDivergenceErrorMessages(t *testing.T) {
 
 func TestLocalRMWMatchesRMWTrafficButFlagsLocality(t *testing.T) {
 	stream := randomStream(21, 3000, 8192)
-	rmw, _ := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
-	local, _ := Run(LocalRMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	rmw, _ := RunStreamContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+	local, _ := RunStreamContext(context.Background(), LocalRMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if rmw.ArrayAccesses() != local.ArrayAccesses() {
 		t.Errorf("LocalRMW traffic %d != RMW traffic %d", local.ArrayAccesses(), rmw.ArrayAccesses())
 	}
@@ -338,8 +344,8 @@ func TestLocalRMWMatchesRMWTrafficButFlagsLocality(t *testing.T) {
 
 func TestWordGranularityMatchesConventionalTraffic(t *testing.T) {
 	stream := randomStream(22, 3000, 8192)
-	conv, _ := Run(Conventional, smallCfg(), Options{}, trace.FromSlice(stream), 0)
-	word, _ := Run(WordGranularity, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	conv, _ := RunStreamContext(context.Background(), Conventional, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+	word, _ := RunStreamContext(context.Background(), WordGranularity, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if conv.ArrayAccesses() != word.ArrayAccesses() {
 		t.Errorf("WordGranularity %d != Conventional %d", word.ArrayAccesses(), conv.ArrayAccesses())
 	}
@@ -354,7 +360,7 @@ func TestWordGranularityMatchesConventionalTraffic(t *testing.T) {
 
 func TestRunRespectsMax(t *testing.T) {
 	stream := randomStream(5, 100, 4096)
-	r, err := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 10)
+	r, err := RunStreamContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +379,7 @@ func TestTinyCacheSubarrayClamp(t *testing.T) {
 			t.Errorf("%v: %v", k, err)
 		}
 	}
-	res, err := Run(WGRB, cfg, Options{}, trace.FromSlice(stream), 0)
+	res, err := RunStreamContext(context.Background(), WGRB, cfg, Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

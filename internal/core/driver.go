@@ -40,17 +40,13 @@ func (d *Driver) Accesses() uint64 { return d.fed }
 // driver (and its controller) must not be used afterwards.
 func (d *Driver) Finish() Result { return d.ctrl.Finalize() }
 
-// RunStream drives up to max accesses of s (max <= 0 drains the stream)
-// through a freshly built cache and controller, pulling the stream in
-// reusable batches of batchSize (<= 0 means trace.DefaultBatchSize). It is
-// the streaming twin of Run: results are identical access-for-access, but
-// the trace is never materialized and decode errors are returned rather than
-// left on the stream.
-func RunStream(kind Kind, cfg cache.Config, opts Options, s trace.Stream, max, batchSize int) (Result, error) {
-	return RunStreamContext(context.Background(), kind, cfg, opts, s, max, batchSize)
-}
-
-// RunStreamContext is RunStream with cancellation, polled once per batch.
+// RunStreamContext drives up to max accesses of s (max <= 0 drains the
+// stream) through a freshly built cache and controller of the given kind,
+// then finalizes. The stream is pulled in reusable batches of batchSize
+// (<= 0 means trace.DefaultBatchSize) and never materialized; ctx is polled
+// once per batch, and a decode error is returned as a *StreamError rather
+// than left on the stream. This is the one-call entry point the experiment
+// harness, the tools and the examples use.
 func RunStreamContext(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s trace.Stream, max, batchSize int) (Result, error) {
 	return RunStreamCheckpointedContext(ctx, kind, cfg, opts, s, max, batchSize, 0, nil)
 }
@@ -81,10 +77,10 @@ func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Opt
 // called once, a trace.Broadcast fans the batches out, and each lane's
 // controller consumes them over its own cache on its own goroutine.
 // Results, in lane order, are byte-identical to RunEachStreamSerial lane by
-// lane (and so to RunAll over the materialized accesses) because every
-// controller sees the exact same access sequence — but a thirteen-lane
-// matrix generates or decodes its trace once instead of thirteen times, and
-// no lane ever holds the full trace. One lane (or none) runs serially.
+// lane because every controller sees the exact same access sequence — but a
+// thirteen-lane matrix generates or decodes its trace once instead of
+// thirteen times, and no lane ever holds the full trace. One lane (or none)
+// runs serially.
 func RunLanes(ctx context.Context, lanes []Lane, opts Options, open func() (trace.Stream, error), max, batchSize int) ([]Result, error) {
 	if len(lanes) <= 1 {
 		return runLanesSerial(ctx, lanes, opts, open, max, batchSize)

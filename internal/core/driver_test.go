@@ -33,15 +33,15 @@ func sameResult(t *testing.T, got, want Result) {
 	}
 }
 
+// TestRunStreamMatchesRunAllKindsAllBatchSizes runs every kind through the
+// batched, read-ahead RunStreamContext at several batch sizes and requires
+// the unbatched feedDirect result exactly.
 func TestRunStreamMatchesRunAllKindsAllBatchSizes(t *testing.T) {
 	accs := randomStream(11, 6000, 8192)
 	for _, kind := range Kinds() {
-		want, err := Run(kind, smallCfg(), Options{}, trace.FromSlice(accs), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, bs := range []int{1, 7, 512, 4096, 0} {
-			got, err := RunStream(kind, smallCfg(), Options{}, trace.FromSlice(accs), 0, bs)
+		want := feedDirect(t, kind, smallCfg(), Options{}, accs)
+		for _, bs := range []int{1, 7, 17, 512, 4096, 0} {
+			got, err := RunStreamContext(context.Background(), kind, smallCfg(), Options{}, trace.FromSlice(accs), 0, bs)
 			if err != nil {
 				t.Fatalf("%v batch %d: %v", kind, bs, err)
 			}
@@ -53,11 +53,8 @@ func TestRunStreamMatchesRunAllKindsAllBatchSizes(t *testing.T) {
 func TestRunStreamHonorsMax(t *testing.T) {
 	accs := randomStream(12, 5000, 8192)
 	const max = 1234
-	want, err := Run(WG, smallCfg(), Options{}, trace.FromSlice(accs[:max]), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunStream(WG, smallCfg(), Options{}, trace.FromSlice(accs), max, 0)
+	want := feedDirect(t, WG, smallCfg(), Options{}, accs[:max])
+	got, err := RunStreamContext(context.Background(), WG, smallCfg(), Options{}, trace.FromSlice(accs), max, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,19 +66,12 @@ func TestRunStreamHonorsMax(t *testing.T) {
 
 func TestRunStreamOverBinaryTraceMatchesSlice(t *testing.T) {
 	accs := randomStream(13, 3000, 8192)
-	var buf bytes.Buffer
-	if _, err := trace.WriteAll(&buf, trace.FromSlice(accs), 0); err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(WGRB, smallCfg(), Options{}, trace.FromSlice(accs), 0)
+	got, err := RunStreamContext(context.Background(), WGRB, smallCfg(), Options{},
+		trace.NewReader(bytes.NewReader(encodeTrace(t, accs))), 0, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunStream(WGRB, smallCfg(), Options{}, trace.NewReader(&buf), 0, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, got, want)
+	sameResult(t, got, feedDirect(t, WGRB, smallCfg(), Options{}, accs))
 }
 
 func TestRunStreamSurfacesDecodeError(t *testing.T) {
@@ -93,7 +83,7 @@ func TestRunStreamSurfacesDecodeError(t *testing.T) {
 	// Dropping one byte always cuts mid-record (the shortest record is
 	// several bytes), so the decode must fail rather than end cleanly.
 	truncated := buf.Bytes()[:buf.Len()-1]
-	_, err := RunStream(RMW, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(truncated)), 0, 128)
+	_, err := RunStreamContext(context.Background(), RMW, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(truncated)), 0, 128)
 	var se *StreamError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StreamError", err)
@@ -116,23 +106,20 @@ func TestRunStreamCancellation(t *testing.T) {
 	}
 }
 
+// TestRunEachStreamMatchesRunAll runs all kinds over one shared decode and
+// requires each to equal its own unbatched feedDirect run.
 func TestRunEachStreamMatchesRunAll(t *testing.T) {
 	accs := randomStream(16, 4000, 8192)
 	kinds := Kinds()
-	want, err := RunAll(kinds, smallCfg(), Options{}, accs)
+	got, err := RunEachStream(context.Background(), kinds, smallCfg(), Options{}, sliceOpener(accs), 0, 333)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunEachStream(context.Background(), kinds, smallCfg(), Options{},
-		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 333)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != len(kinds) {
+		t.Fatalf("got %d results, want %d", len(got), len(kinds))
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		sameResult(t, got[i], want[i])
+	for i, k := range kinds {
+		sameResult(t, got[i], feedDirect(t, k, smallCfg(), Options{}, accs))
 	}
 }
 

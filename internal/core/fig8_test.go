@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -40,7 +41,7 @@ func fig8Results(t *testing.T) map[Kind]Result {
 	stream := fig8Stream(cache.MustGeometry(cfg.SizeBytes, cfg.Ways, cfg.BlockBytes))
 	out := make(map[Kind]Result)
 	for _, k := range []Kind{Conventional, RMW, WG, WGRB} {
-		r, err := Run(k, cfg, Options{}, trace.FromSlice(stream), 0)
+		r, err := RunStreamContext(context.Background(), k, cfg, Options{}, trace.FromSlice(stream), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

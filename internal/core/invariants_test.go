@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,7 @@ import (
 func TestWGRBCounterIdentities(t *testing.T) {
 	for seed := uint64(40); seed < 46; seed++ {
 		stream := randomStream(seed, 6000, 8192)
-		res, err := Run(WGRB, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+		res, err := RunStreamContext(context.Background(), WGRB, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +58,7 @@ func TestWGRBCounterIdentities(t *testing.T) {
 func TestWGCounterIdentities(t *testing.T) {
 	for seed := uint64(50); seed < 56; seed++ {
 		stream := randomStream(seed, 6000, 8192)
-		res, err := Run(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+		res, err := RunStreamContext(context.Background(), WG, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func TestWGCounterIdentities(t *testing.T) {
 func TestGroupSizeHistogramConsistency(t *testing.T) {
 	for seed := uint64(60); seed < 64; seed++ {
 		stream := randomStream(seed, 6000, 8192)
-		res, err := Run(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+		res, err := RunStreamContext(context.Background(), WG, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestGroupSizeHistogramConsistency(t *testing.T) {
 
 func TestRMWEventIdentities(t *testing.T) {
 	stream := randomStream(70, 6000, 8192)
-	res, err := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, err := RunStreamContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestEquivalenceQuick(t *testing.T) {
 func TestReductionBoundsQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		stream := randomStream(seed, 1000, 8192)
-		res, err := RunAll([]Kind{RMW, WG, WGRB}, smallCfg(), Options{}, stream)
+		res, err := RunEachStreamSerial(context.Background(), []Kind{RMW, WG, WGRB}, smallCfg(), Options{}, sliceOpener(stream), 0, 0)
 		if err != nil {
 			t.Log(err)
 			return false

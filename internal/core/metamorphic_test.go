@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -10,24 +11,22 @@ import (
 // Metamorphic properties of the write-path controllers: known-silent trace
 // mutations whose effect on specific counters is provable from the protocol,
 // checked over seeded random traces. Each run goes through both execution
-// paths — materialized slice replay and the batched streaming pipeline — and
-// the two must agree exactly before the metamorphic relation is even judged.
+// paths — the controller fed directly and the batched, read-ahead run loop —
+// and the two must agree exactly before the metamorphic relation is even
+// judged.
 
-// runBothPaths executes accs through Run (materialized) and RunStream
-// (batched, deliberately small batches so batch boundaries land mid-burst)
-// and fails the test unless the results are identical.
+// runBothPaths executes accs through feedDirect (unbatched) and
+// RunStreamContext (deliberately small batches so batch boundaries land
+// mid-burst) and fails the test unless the results are identical.
 func runBothPaths(t *testing.T, kind Kind, opts Options, accs []trace.Access) Result {
 	t.Helper()
-	mat, err := Run(kind, smallCfg(), opts, trace.FromSlice(accs), 0)
+	direct := feedDirect(t, kind, smallCfg(), opts, accs)
+	str, err := RunStreamContext(context.Background(), kind, smallCfg(), opts, trace.FromSlice(accs), 0, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	str, err := RunStream(kind, smallCfg(), opts, trace.FromSlice(accs), 0, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, str, mat)
-	return mat
+	sameResult(t, str, direct)
+	return direct
 }
 
 // withSilentDuplicates inserts, after every write, an identical write — a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -30,7 +31,7 @@ func TestNoAllocWriteMissBypassesArray(t *testing.T) {
 		{Kind: trace.Write, Addr: 0x100, Size: 8, Data: 42}, // miss: write-around
 		{Kind: trace.Read, Addr: 0x100, Size: 8},            // miss: fills, reads 42
 	}
-	res, err := Run(RMW, noAllocCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, err := RunStreamContext(context.Background(), RMW, noAllocCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestNoAllocWriteHitStillGroups(t *testing.T) {
 		{Kind: trace.Write, Addr: 8, Size: 8, Data: 2},
 		{Kind: trace.Write, Addr: 16, Size: 8, Data: 3},
 	}
-	res, err := Run(WG, noAllocCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, err := RunStreamContext(context.Background(), WG, noAllocCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +72,11 @@ func TestNoAllocReducesWriteTraffic(t *testing.T) {
 	// On a miss-heavy stream, write-around removes RMWs that allocate-mode
 	// must perform.
 	stream := randomStream(130, 6000, 1<<20) // huge footprint: mostly misses
-	alloc, err := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	alloc, err := RunStreamContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noalloc, err := Run(RMW, noAllocCfg(), Options{}, trace.FromSlice(stream), 0)
+	noalloc, err := RunStreamContext(context.Background(), RMW, noAllocCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -280,7 +281,7 @@ func TestOracleArrayTrafficOrdering(t *testing.T) {
 		accs := randomStream(seed, 4000, 1<<13)
 		byKind := map[Kind]Result{}
 		for _, k := range []Kind{RMW, WG, WGRB} {
-			res, err := Run(k, cfg, Options{}, trace.FromSlice(accs), 0)
+			res, err := RunStreamContext(context.Background(), k, cfg, Options{}, trace.FromSlice(accs), 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -98,14 +98,15 @@ func encodeTrace(t *testing.T, accs []trace.Access) []byte {
 }
 
 // feedDirect is the unpipelined reference: the same controller fed the
-// accesses directly, with no decoder in between.
-func feedDirect(t *testing.T, kind Kind, cfg cache.Config, accs []trace.Access) Result {
+// accesses directly in one Feed, with no decoder, batching or read-ahead in
+// between.
+func feedDirect(t *testing.T, kind Kind, cfg cache.Config, opts Options, accs []trace.Access) Result {
 	t.Helper()
 	c, err := cache.New(cfg, mem.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := New(kind, c, Options{})
+	ctrl, err := New(kind, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,15 +134,13 @@ func TestPipelinedRunLifecycle(t *testing.T) {
 	loops := []struct {
 		name string
 		run  func(ctx context.Context, s trace.Stream, sink CheckpointSink) (Result, error)
-		// exhausts is set for RunContext, which treats a decode error as the
-		// end of the stream.
-		exhausts bool
 	}{
 		{name: "RunStreamContext", run: func(ctx context.Context, s trace.Stream, _ CheckpointSink) (Result, error) {
 			return RunStreamContext(ctx, WG, cfg, Options{}, s, 0, batch)
 		}},
-		{name: "RunContext", exhausts: true, run: func(ctx context.Context, s trace.Stream, _ CheckpointSink) (Result, error) {
-			return RunContext(ctx, WG, cfg, Options{}, s, 0)
+		{name: "RunLogged", run: func(ctx context.Context, s trace.Stream, _ CheckpointSink) (Result, error) {
+			res, _, err := RunLogged(ctx, WG, cfg, Options{}, s, 0)
+			return res, err
 		}},
 		{name: "RunStreamCheckpointedContext", run: func(ctx context.Context, s trace.Stream, sink CheckpointSink) (Result, error) {
 			return RunStreamCheckpointedContext(ctx, WG, cfg, Options{}, s, 0, batch, 2, sink)
@@ -155,20 +154,13 @@ func TestPipelinedRunLifecycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResult(t, got, feedDirect(t, WG, cfg, accs))
+			sameResult(t, got, feedDirect(t, WG, cfg, Options{}, accs))
 		})
 
 		t.Run(lp.name+"/decode-error", func(t *testing.T) {
 			src := newWatchedSource(truncated)
-			got, err := lp.run(context.Background(), src, nil)
+			_, err := lp.run(context.Background(), src, nil)
 			src.afterReturn(t)
-			if lp.exhausts {
-				if err != nil {
-					t.Fatalf("RunContext surfaced a decode error: %v", err)
-				}
-				sameResult(t, got, feedDirect(t, WG, cfg, accs[:cut]))
-				return
-			}
 			var se *StreamError
 			if !errors.As(err, &se) {
 				t.Fatalf("err = %v, want *StreamError", err)

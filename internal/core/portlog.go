@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"cache8t/internal/cache"
@@ -41,27 +42,27 @@ type eventsProvider interface {
 func (b *base) events() *sram.Array      { return b.array }
 func (b *base) geometry() cache.Geometry { return b.cache.Geometry() }
 
-// LoggedController wraps a Controller and appends one PortOp per request to
+// loggedController wraps a Controller and appends one PortOp per request to
 // a caller-owned slice.
-type LoggedController struct {
+type loggedController struct {
 	Controller
 	arr  *sram.Array
 	geom cache.Geometry
 	log  *[]PortOp
 }
 
-// NewLogged wraps ctrl (which must be a controller from this package) so
+// newLogged wraps ctrl (which must be a controller from this package) so
 // every Access appends a PortOp to log.
-func NewLogged(ctrl Controller, log *[]PortOp) (*LoggedController, error) {
+func newLogged(ctrl Controller, log *[]PortOp) (*loggedController, error) {
 	ep, ok := ctrl.(eventsProvider)
 	if !ok {
 		return nil, fmt.Errorf("core: controller %T does not expose its event ledger", ctrl)
 	}
-	return &LoggedController{Controller: ctrl, arr: ep.events(), geom: ep.geometry(), log: log}, nil
+	return &loggedController{Controller: ctrl, arr: ep.events(), geom: ep.geometry(), log: log}, nil
 }
 
 // Access forwards the request and records the array-operation delta.
-func (l *LoggedController) Access(a trace.Access) uint64 {
+func (l *loggedController) Access(a trace.Access) uint64 {
 	r0 := l.arr.Count(sram.EvRowRead)
 	w0 := l.arr.Count(sram.EvRowWrite)
 	s0 := l.arr.Count(sram.EvSetBufRead) + l.arr.Count(sram.EvSetBufWrite)
@@ -79,9 +80,11 @@ func (l *LoggedController) Access(a trace.Access) uint64 {
 	return v
 }
 
-// RunLogged is Run plus port-op capture: it returns the result and the
-// per-request operation log.
-func RunLogged(kind Kind, cfg cache.Config, opts Options, s trace.Stream, max int) (Result, []PortOp, error) {
+// RunLogged is RunStreamContext plus port-op capture: it returns the result
+// and the per-request operation log, one PortOp per simulated access. It
+// runs on the same batched loop, so it polls ctx once per batch and returns
+// a decode error as a *StreamError.
+func RunLogged(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s trace.Stream, max int) (Result, []PortOp, error) {
 	c, err := cache.New(cfg, mem.New())
 	if err != nil {
 		return Result{}, nil, err
@@ -91,18 +94,13 @@ func RunLogged(kind Kind, cfg cache.Config, opts Options, s trace.Stream, max in
 		return Result{}, nil, err
 	}
 	var log []PortOp
-	logged, err := NewLogged(ctrl, &log)
+	logged, err := newLogged(ctrl, &log)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	n := 0
-	for max <= 0 || n < max {
-		a, ok := s.Next()
-		if !ok {
-			break
-		}
-		logged.Access(a)
-		n++
+	res, err := runCheckpointed(ctx, NewDriver(logged), cfg, s, max, 0, 0, 0, nil)
+	if err != nil {
+		return Result{}, nil, err
 	}
-	return logged.Finalize(), log, nil
+	return res, log, nil
 }

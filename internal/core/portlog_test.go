@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -21,7 +25,7 @@ func TestLoggedControllerRecordsPerRequestOps(t *testing.T) {
 		t.Fatalf("Kind = %v", ctrl.Kind())
 	}
 	var log []PortOp
-	logged, err := NewLogged(ctrl, &log)
+	logged, err := newLogged(ctrl, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +51,7 @@ func TestLoggedControllerRecordsPerRequestOps(t *testing.T) {
 
 func TestRunLoggedBasics(t *testing.T) {
 	stream := randomStream(7, 500, 4096)
-	res, log, err := RunLogged(WGRB, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, log, err := RunLogged(context.Background(), WGRB, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +70,55 @@ func TestRunLoggedBasics(t *testing.T) {
 	// Bad config propagates.
 	bad := smallCfg()
 	bad.Ways = 3
-	if _, _, err := RunLogged(RMW, bad, Options{}, trace.FromSlice(stream), 0); err == nil {
+	if _, _, err := RunLogged(context.Background(), RMW, bad, Options{}, trace.FromSlice(stream), 0); err == nil {
 		t.Error("bad config accepted")
 	}
-	if _, _, err := RunLogged(Kind(99), smallCfg(), Options{}, trace.FromSlice(stream), 0); err == nil {
+	if _, _, err := RunLogged(context.Background(), Kind(99), smallCfg(), Options{}, trace.FromSlice(stream), 0); err == nil {
 		t.Error("bad kind accepted")
+	}
+}
+
+// TestRunLoggedSharedLoop pins RunLogged to the batched run loop: a clean
+// run returns RunStreamContext's Result with one PortOp per access, a trace
+// truncated mid-record returns a *StreamError counting exactly the accesses
+// before the cut, and a cancelled context returns context.Canceled.
+func TestRunLoggedSharedLoop(t *testing.T) {
+	accs := randomStream(19, 6000, 8192)
+	enc := encodeTrace(t, accs)
+	ctx := context.Background()
+
+	want, err := RunStreamContext(ctx, WG, smallCfg(), Options{}, trace.FromSlice(accs), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, log, err := RunLogged(ctx, WG, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(enc)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, got, want)
+	if len(log) != len(accs) {
+		t.Fatalf("logged %d ops for %d accesses", len(log), len(accs))
+	}
+
+	// Keep the first cut records whole, then two bytes of the next one.
+	const cut = 4321
+	prefix := encodeTrace(t, accs[:cut])
+	truncated := append(append([]byte(nil), prefix...), enc[len(prefix):len(prefix)+2]...)
+	_, _, err = RunLogged(ctx, WG, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(truncated)), 0)
+	var se *StreamError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want *StreamError", err)
+	}
+	if !errors.Is(se, io.ErrUnexpectedEOF) {
+		t.Fatalf("unwrapped err = %v, want unexpected EOF", se.Err)
+	}
+	if se.Accesses != cut {
+		t.Fatalf("StreamError.Accesses = %d, want %d", se.Accesses, cut)
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, err := RunLogged(cancelled, WG, smallCfg(), Options{}, trace.FromSlice(accs), 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -1,58 +1,12 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"cache8t/internal/cache"
 	"cache8t/internal/mem"
 	"cache8t/internal/trace"
 )
-
-// Run drives up to max accesses of s (max <= 0 drains the stream) through a
-// freshly built cache and controller of the given kind, then finalizes.
-// This is the one-call entry point the experiment harness and examples use.
-func Run(kind Kind, cfg cache.Config, opts Options, s trace.Stream, max int) (Result, error) {
-	return RunContext(context.Background(), kind, cfg, opts, s, max)
-}
-
-// RunContext is Run with cancellation: the simulation polls ctx once per
-// batch (trace.DefaultBatchSize accesses) and abandons the run with ctx's
-// error once it is cancelled or past its deadline. This is what gives engine
-// jobs prompt, mid-simulation cancellation instead of job-boundary
-// granularity.
-//
-// RunContext runs on the same drive loop as RunStreamContext; the only
-// difference is error handling — for compatibility with callers that check
-// the reader's Err themselves, a stream that stops early is treated as
-// exhausted rather than failed. New code should prefer RunStreamContext.
-func RunContext(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s trace.Stream, max int) (Result, error) {
-	c, err := cache.New(cfg, mem.New())
-	if err != nil {
-		return Result{}, err
-	}
-	ctrl, err := New(kind, c, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	d := NewDriver(ctrl)
-	res, err := runCheckpointed(ctx, d, cfg, s, max, 0, 0, 0, nil)
-	var se *StreamError
-	if errors.As(err, &se) {
-		return d.Finish(), nil
-	}
-	return res, err
-}
-
-// RunAll runs the same access slice through several controller kinds, each
-// over its own fresh cache, and returns results in kind order. Slices (not
-// streams) keep the inputs bit-identical across controllers. It is the
-// serial (workers=1) case of RunAllContext, so there is exactly one
-// execution path for single- and multi-controller runs.
-func RunAll(kinds []Kind, cfg cache.Config, opts Options, accesses []trace.Access) ([]Result, error) {
-	return RunAllContext(context.Background(), kinds, cfg, opts, accesses, 1)
-}
 
 // VerifyEquivalence replays accesses through two controller kinds and checks
 // the architectural contract: every read and write returns the same value

@@ -65,12 +65,12 @@ func TestShardedMatchesSerial(t *testing.T) {
 	// results are byte-identical to serial over the same stream.
 	stream := randomStream(7, 6000, 8192)
 	for _, k := range setLocalKinds(t) {
-		serial, err := RunStream(k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+		serial, err := RunStreamContext(context.Background(), k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 		if err != nil {
 			t.Fatalf("%v serial: %v", k, err)
 		}
 		for _, shards := range []int{2, 3, 4, 7, 16} {
-			got, err := RunSharded(k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0, shards)
+			got, err := RunShardedContext(context.Background(), k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0, shards)
 			if err != nil {
 				t.Fatalf("%v shards=%d: %v", k, shards, err)
 			}
@@ -161,7 +161,7 @@ func TestShardedZeroSetShardIdentity(t *testing.T) {
 	// and the aggregate must equal serial.
 	stream := randomStream(17, 5000, 8192)
 	for _, k := range setLocalKinds(t) {
-		serial, err := RunStream(k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+		serial, err := RunStreamContext(context.Background(), k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 		if err != nil {
 			t.Fatalf("%v serial: %v", k, err)
 		}
@@ -200,11 +200,11 @@ func TestShardedFallbackIdentity(t *testing.T) {
 		if plan.Shards != 1 || plan.Reason == "" {
 			t.Errorf("%v: plan %+v, want serial fallback with reason", k, plan)
 		}
-		serial, err := RunStream(k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+		serial, err := RunStreamContext(context.Background(), k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunSharded(k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0, 4)
+		got, err := RunShardedContext(context.Background(), k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestShardedStraddleAborts(t *testing.T) {
 		{Addr: 0, Size: 8, Kind: trace.Write, Data: 1},
 		{Addr: 30, Size: 8, Kind: trace.Write, Data: 2}, // offset 30 + 8 > 32-byte block
 	}
-	_, err := RunSharded(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0, 2)
+	_, err := RunShardedContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0, 2)
 	var cross *ShardCrossSetError
 	if !errors.As(err, &cross) {
 		t.Fatalf("err = %v, want ShardCrossSetError", err)
@@ -271,11 +271,11 @@ func TestShardedContextCancel(t *testing.T) {
 func TestShardedHonorsMax(t *testing.T) {
 	stream := randomStream(9, 4000, 8192)
 	const max = 1500
-	serial, err := RunStream(RMW, smallCfg(), Options{}, trace.FromSlice(stream), max, 0)
+	serial, err := RunStreamContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), max, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSharded(RMW, smallCfg(), Options{}, trace.FromSlice(stream), max, 0, 4)
+	got, err := RunShardedContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), max, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +287,11 @@ func TestShardedHonorsMax(t *testing.T) {
 
 func TestMergeResultsRejectsMismatch(t *testing.T) {
 	stream := randomStream(2, 500, 4096)
-	a, err := RunStream(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+	a, err := RunStreamContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunStream(Conventional, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+	b, err := RunStreamContext(context.Background(), Conventional, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func BenchmarkRunSharded(b *testing.B) {
 			b.SetBytes(int64(len(accs)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := RunSharded(RMW, cfg, Options{}, trace.FromSlice(accs), 0, 0, shards)
+				res, err := RunShardedContext(context.Background(), RMW, cfg, Options{}, trace.FromSlice(accs), 0, 0, shards)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"context"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -25,7 +26,7 @@ func runBench(t *testing.T, kind core.Kind, name string, n int) core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(kind, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0)
+	res, err := core.RunStreamContext(context.Background(), kind, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

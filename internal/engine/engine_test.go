@@ -14,8 +14,25 @@ import (
 	"cache8t/internal/core"
 	"cache8t/internal/engine"
 	"cache8t/internal/stats"
+	"cache8t/internal/trace"
 	"cache8t/internal/workload"
 )
+
+// kindJobs builds one engine job per kind, in kind order, each replaying
+// accs through its own fresh cache.
+func kindJobs(kinds []core.Kind, cfg cache.Config, accs []trace.Access) []engine.Job[core.Result] {
+	jobs := make([]engine.Job[core.Result], len(kinds))
+	for i, k := range kinds {
+		jobs[i] = engine.Job[core.Result]{
+			Label:  k.String(),
+			Weight: int64(len(accs)),
+			Fn: func(ctx context.Context) (core.Result, error) {
+				return core.RunStreamContext(ctx, k, cfg, core.Options{}, trace.FromSlice(accs), 0, 0)
+			},
+		}
+	}
+	return jobs
+}
 
 // simJobs builds the real workload the determinism test replays: every
 // controller kind over two cache shapes on one benchmark stream.
@@ -34,7 +51,7 @@ func simJobs(t *testing.T, n int) []engine.Job[core.Result] {
 		cache.DefaultConfig(),
 		{SizeBytes: 8 * 1024, Ways: 2, BlockBytes: 32, Policy: cache.FIFO},
 	} {
-		jobs = append(jobs, core.Jobs(core.Kinds(), shape, core.Options{}, accs)...)
+		jobs = append(jobs, kindJobs(core.Kinds(), shape, accs)...)
 	}
 	return jobs
 }
@@ -77,9 +94,9 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesEngine pins the satellite contract: core.RunAll (the
-// serial path) and a many-worker RunAllContext agree result-for-result, in
-// kind order.
+// TestRunAllMatchesEngine pins the fan-out contract: running all kinds one
+// after another (core.RunEachStreamSerial) and fanning one job per kind out
+// over eight engine workers agree result-for-result, in kind order.
 func TestRunAllMatchesEngine(t *testing.T) {
 	prof, err := workload.ProfileByName("gcc")
 	if err != nil {
@@ -90,16 +107,17 @@ func TestRunAllMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cache.DefaultConfig()
-	serial, err := core.RunAll(core.Kinds(), cfg, core.Options{}, accs)
+	open := func() (trace.Stream, error) { return trace.FromSlice(accs), nil }
+	serial, err := core.RunEachStreamSerial(context.Background(), core.Kinds(), cfg, core.Options{}, open, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := core.RunAllContext(context.Background(), core.Kinds(), cfg, core.Options{}, accs, 8)
+	parallel, err := engine.Map(context.Background(), engine.Config{Workers: 8}, kindJobs(core.Kinds(), cfg, accs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("RunAllContext(workers=8) differs from RunAll")
+		t.Fatal("engine fan-out (workers=8) differs from the serial run")
 	}
 	for i, k := range core.Kinds() {
 		if parallel[i].Controller != k {

@@ -47,7 +47,7 @@ func DVFS(cfg Config) (*stats.Table, error) {
 		return nil, err
 	}
 	for _, kind := range []core.Kind{core.RMW, core.WGRB} {
-		res, err := core.Run(kind, cfg.Cache, cfg.Opts, trace.FromSlice(accs), 0)
+		res, err := core.RunStreamContext(cfg.ctx(), kind, cfg.Cache, cfg.Opts, trace.FromSlice(accs), 0, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -49,10 +49,10 @@ type Config struct {
 	// wires its -timeout flag here.
 	Context context.Context
 	// Shards, when > 1, runs each set-local controller as Shards concurrent
-	// set-partitions (core.RunSharded). Controllers with cross-set state and
-	// Random-policy caches fall back to the serial driver automatically, so
-	// tables are bit-identical for every value — like Workers, purely a
-	// speed knob.
+	// set-partitions (core.RunShardedContext). Controllers with cross-set
+	// state and Random-policy caches fall back to the serial driver
+	// automatically, so tables are bit-identical for every value — like
+	// Workers, purely a speed knob.
 	Shards int
 }
 

@@ -133,7 +133,7 @@ func Fig8(cfg Config) (*stats.Table, error) {
 		"scheme", "array reads", "array writes", "total")
 	stream := Fig8Stream(cfg.geometry())
 	for _, k := range []core.Kind{core.Conventional, core.RMW, core.WG, core.WGRB} {
-		res, err := core.Run(k, cfg.Cache, cfg.Opts, trace.FromSlice(stream), 0)
+		res, err := core.RunStreamContext(cfg.ctx(), k, cfg.Cache, cfg.Opts, trace.FromSlice(stream), 0, 0)
 		if err != nil {
 			return nil, err
 		}

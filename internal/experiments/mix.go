@@ -30,7 +30,8 @@ func Mix(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("Multiprogrammed mixes — WG+RB reduction vs RMW", cols...)
 
 	reduction := func(accs []trace.Access, opts core.Options) (float64, error) {
-		res, err := core.RunAll([]core.Kind{core.RMW, core.WGRB}, cfg.Cache, opts, accs)
+		open := func() (trace.Stream, error) { return trace.FromSlice(accs), nil }
+		res, err := core.RunEachStreamSerial(cfg.ctx(), []core.Kind{core.RMW, core.WGRB}, cfg.Cache, opts, open, 0, 0)
 		if err != nil {
 			return 0, err
 		}

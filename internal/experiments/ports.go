@@ -32,7 +32,7 @@ func Ports(cfg Config) (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			res, log, err := core.RunLogged(k, cfg.Cache, cfg.Opts, stream, 0)
+			res, log, err := core.RunLogged(cfg.ctx(), k, cfg.Cache, cfg.Opts, stream, 0)
 			if err != nil {
 				return err
 			}

@@ -43,7 +43,8 @@ type CoreBenchEntry struct {
 	Ratio float64 `json:"ratio"`
 
 	// Sharded fields are present when the bench ran with Shards > 1: the
-	// same streamed decode driven through core.RunSharded set-partitions.
+	// same streamed decode driven through core.RunShardedContext
+	// set-partitions.
 	// ShardedRatio is sharded/streamed throughput; > 1 means the parallel
 	// path wins (expect ~1/shards overhead on a single-core host, where the
 	// routing scan and goroutine switches buy nothing).
@@ -129,7 +130,7 @@ func CoreBench(opts Options) (CoreBenchEntry, error) {
 		if err != nil {
 			return core.Result{}, err
 		}
-		return core.RunContext(opts.ctx(), kind, shape, core.Options{}, trace.FromSlice(all), 0)
+		return core.RunStreamContext(opts.ctx(), kind, shape, core.Options{}, trace.FromSlice(all), 0, 0)
 	})
 	if err != nil {
 		return e, err

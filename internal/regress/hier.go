@@ -98,7 +98,7 @@ func buildHier(opts Options) (*report.Artifact, error) {
 	var rmwAcc, tsAcc uint64
 	var wgrbRes core.Result
 	for _, k := range []core.Kind{core.RMW, core.KindTS, core.WGRB} {
-		res, err := core.RunContext(opts.ctx(), k, shape, core.Options{}, trace.FromSlice(accs), 0)
+		res, err := core.RunStreamContext(opts.ctx(), k, shape, core.Options{}, trace.FromSlice(accs), 0, 0)
 		if err != nil {
 			return nil, err
 		}

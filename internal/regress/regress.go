@@ -50,8 +50,8 @@ type Options struct {
 	// prove it.
 	Stream bool
 	// Shards > 1 runs set-local controllers set-sharded
-	// (core.RunSharded); controllers with cross-set state fall back to the
-	// serial driver. Goldens are shard-agnostic — sharded runs must
+	// (core.RunShardedContext); controllers with cross-set state fall back to
+	// the serial driver. Goldens are shard-agnostic — sharded runs must
 	// reproduce the serial artifacts byte-identically, and CI runs both to
 	// prove it.
 	Shards int
@@ -452,7 +452,7 @@ func buildFig8(opts Options) (*report.Artifact, error) {
 	stream := experiments.Fig8Stream(g)
 	a.SetConfig("stream_len", len(stream))
 	for _, k := range []core.Kind{core.Conventional, core.RMW, core.WG, core.WGRB} {
-		res, err := core.RunContext(opts.ctx(), k, shape, core.Options{}, trace.FromSlice(stream), 0)
+		res, err := core.RunStreamContext(opts.ctx(), k, shape, core.Options{}, trace.FromSlice(stream), 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -588,7 +588,8 @@ func Bench(opts Options) (BenchEntry, error) {
 				if err != nil {
 					return 0, err
 				}
-				res, err := core.RunAllContext(ctx, []core.Kind{core.RMW, core.WG, core.WGRB}, shape, core.Options{}, accs, 1)
+				open := func() (trace.Stream, error) { return trace.FromSlice(accs), nil }
+				res, err := core.RunEachStreamSerial(ctx, []core.Kind{core.RMW, core.WG, core.WGRB}, shape, core.Options{}, open, 0, 0)
 				if err != nil {
 					return 0, err
 				}

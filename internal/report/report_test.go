@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -100,7 +101,7 @@ func TestLedgerMatchesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	shape := cache.Config{SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 64}
-	res, err := core.Run(core.WG, shape, core.Options{}, gen, 5000)
+	res, err := core.RunStreamContext(context.Background(), core.WG, shape, core.Options{}, gen, 5000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestEncodeDeterministicWithControllers(t *testing.T) {
 		t.Fatal(err)
 	}
 	shape := cache.Config{SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 64}
-	res, err := core.Run(core.Conventional, shape, core.Options{}, gen, 2000)
+	res, err := core.RunStreamContext(context.Background(), core.Conventional, shape, core.Options{}, gen, 2000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"context"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -11,7 +12,7 @@ import (
 
 func runKind(t *testing.T, kind core.Kind, accs []trace.Access) core.Result {
 	t.Helper()
-	res, err := core.Run(kind, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0)
+	res, err := core.RunStreamContext(context.Background(), kind, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 package trace
 
 // Batched streaming: the hot simulation path pulls accesses in fixed-size
-// batches instead of one interface call per access. A Batcher owns exactly
-// one reusable batch buffer, so draining a trace of any length costs a
-// constant amount of memory and no per-access allocation; sources that can
-// decode natively into a slice (the binary Reader) skip the per-access
-// Stream.Next dispatch entirely.
+// batches instead of one interface call per access. Batches come from a
+// fixed pool of reusable buffers (Broadcast, RouteBroadcast), so draining a
+// trace of any length costs a constant amount of memory and no per-access
+// allocation; sources that can decode natively into a slice (the binary
+// Reader) skip the per-access Stream.Next dispatch entirely.
 
 // DefaultBatchSize is the batch length used when callers pass size <= 0.
 // 4096 accesses (96 KiB of batch buffer) amortizes interface dispatch and
@@ -27,7 +27,7 @@ type ErrStream interface {
 	Err() error
 }
 
-// decoder is the decode core shared by Batcher and the broadcast fan-outs:
+// decoder is the decode core shared by the broadcast fan-outs:
 // one batch of the source at a time, through the fastest path the source
 // supports — a zero-copy subslice view for in-memory slices, a native
 // ReadBatch for binary readers, a per-access Next loop for everything else.
@@ -59,8 +59,8 @@ func newDecoder(src Stream, size int) decoder {
 // for slice sources, otherwise accesses decoded into *buf, which is
 // allocated (size accesses) on first use. An empty batch means the source
 // is exhausted or errored (check err). Every batch producer in the package
-// — Batcher, Broadcast and RouteBroadcast — goes through here, each with
-// its own destination buffer.
+// — Broadcast and RouteBroadcast — goes through here, each with its own
+// destination buffer.
 func (d *decoder) fill(buf *[]Access) []Access {
 	if d.slice != nil {
 		return d.slice.nextBatch(d.size)
@@ -95,56 +95,4 @@ func (d *decoder) err() error {
 		return es.Err()
 	}
 	return nil
-}
-
-// Batcher adapts any Stream into a sequence of reusable fixed-size batches.
-// The slice returned by Next aliases the Batcher's single internal buffer:
-// it is valid only until the next Next call and must not be retained or
-// mutated. Batchers are single-use and not safe for concurrent callers.
-type Batcher struct {
-	dec   decoder
-	count uint64
-}
-
-// NewBatcher returns a Batcher over src with the given batch size (<= 0
-// means DefaultBatchSize). For slice sources the batches are subslices of
-// the backing array (no copy at all); for everything else a single batch
-// buffer is allocated on first use.
-func NewBatcher(src Stream, size int) *Batcher {
-	return &Batcher{dec: newDecoder(src, size)}
-}
-
-// Next fills the internal buffer from the source and returns the filled
-// prefix. ok is false when the source is exhausted (or errored — check Err);
-// a final short batch is returned with ok true.
-func (b *Batcher) Next() ([]Access, bool) {
-	batch := b.dec.next()
-	if len(batch) == 0 {
-		return nil, false
-	}
-	b.count += uint64(len(batch))
-	return batch, true
-}
-
-// Count returns the total number of accesses yielded so far.
-func (b *Batcher) Count() uint64 { return b.count }
-
-// Err surfaces the source's decode error, when the source tracks one. A
-// Batcher over an error-free source (a generator, a slice) always returns
-// nil.
-func (b *Batcher) Err() error { return b.dec.err() }
-
-// Drain pulls every remaining batch through fn. It stops on the first fn
-// error, and otherwise returns the source's decode error (nil for a clean
-// end of stream).
-func (b *Batcher) Drain(fn func(batch []Access) error) error {
-	for {
-		batch, ok := b.Next()
-		if !ok {
-			return b.Err()
-		}
-		if err := fn(batch); err != nil {
-			return err
-		}
-	}
 }

@@ -1,8 +1,7 @@
 package trace
 
 // Single-decode batch broadcast: one decoder goroutine fills reference-
-// counted batch slabs that fan out to any number of consumers. Where a
-// Batcher serves exactly one consumer from one reusable buffer, a Broadcast
+// counted batch slabs that fan out to any number of consumers. A Broadcast
 // serves N consumers from a small fixed pool of slabs — the trace is decoded
 // (or generated) exactly once no matter how many controllers or shards
 // consume it, and steady-state operation allocates nothing: slabs circulate
@@ -64,8 +63,8 @@ type Broadcast struct {
 
 // NewBroadcast returns a running Broadcast over src with nsubs subscribers,
 // batch length size (<= 0 means DefaultBatchSize), and a pool of slabs
-// buffers (<= 0 means DefaultBroadcastSlabs). Like Batcher, slice sources
-// are served zero-copy; everything else decodes into the pooled slabs.
+// buffers (<= 0 means DefaultBroadcastSlabs). Slice sources are served
+// zero-copy; everything else decodes into the pooled slabs.
 func NewBroadcast(src Stream, size, nsubs, slabs int) *Broadcast {
 	if slabs <= 0 {
 		slabs = DefaultBroadcastSlabs
@@ -126,6 +125,14 @@ func (b *Broadcast) pump() {
 		close(b.done)
 	}()
 	for {
+		// Check quit on its own first: when a free slab is also ready, the
+		// select below picks either case at random, and every pick of the
+		// slab would decode one more batch nobody reads.
+		select {
+		case <-b.quit:
+			return
+		default:
+		}
 		var sl *slab
 		select {
 		case <-b.quit:
@@ -201,15 +208,17 @@ func (s *Subscription) Stop() {
 		return
 	}
 	s.done = true
+	// Close quit before handing any slab back, so the decoder never takes a
+	// released slab for a batch that no subscriber is left to read.
+	if s.b.live.Add(-1) == 0 {
+		close(s.b.quit)
+	}
 	s.releaseCur()
 	go func() {
 		for sl := range s.ch {
 			s.b.release(sl)
 		}
 	}()
-	if s.b.live.Add(-1) == 0 {
-		close(s.b.quit)
-	}
 }
 
 func (s *Subscription) releaseCur() {

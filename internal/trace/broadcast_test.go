@@ -35,6 +35,27 @@ func collect(sub *Subscription) []Access {
 	}
 }
 
+// drainSized runs src through a one-subscriber Broadcast with batch length
+// size and returns every access and the decode error, failing the test
+// unless each batch is 1 to size accesses long.
+func drainSized(t testing.TB, src Stream, size int) ([]Access, error) {
+	t.Helper()
+	b := NewBroadcast(src, size, 1, 0)
+	defer b.Stop()
+	sub := b.Sub(0)
+	var got []Access
+	for {
+		batch, ok := sub.Next()
+		if !ok {
+			return got, b.Err()
+		}
+		if len(batch) == 0 || len(batch) > size {
+			t.Fatalf("batch length %d outside (0, %d]", len(batch), size)
+		}
+		got = append(got, batch...)
+	}
+}
+
 // fanOut drains every subscriber concurrently and returns what each saw.
 func fanOut(b *Broadcast, nsubs int) [][]Access {
 	got := make([][]Access, nsubs)
@@ -102,6 +123,61 @@ func TestBroadcastSingleSub(t *testing.T) {
 	want := broadcastAccesses(1_000)
 	b := NewBroadcast(FromSlice(want), 0, 1, 0)
 	wantSame(t, collect(b.Sub(0)), want, 0)
+}
+
+// The three TestBatcher* tests keep the names of the tests of the removed
+// Batcher iterator; they check the same decoder behaviours on a
+// one-subscriber Broadcast, the shape of every unsharded run loop.
+
+// TestBatcherMatchesSlice: at every batch length, each batch is 1 to size
+// accesses long and the batches replay the slice exactly.
+func TestBatcherMatchesSlice(t *testing.T) {
+	want := broadcastAccesses(1_000)
+	for _, size := range []int{1, 3, 64, 1000, 4096} {
+		got, err := drainSized(t, FromSlice(want), size)
+		if err != nil {
+			t.Fatalf("size %d: Err = %v", size, err)
+		}
+		wantSame(t, got, want, 0)
+	}
+}
+
+// TestBatcherUsesNativeBatchDecode: a binary Reader source takes the native
+// ReadBatch path and decodes the trace exactly.
+func TestBatcherUsesNativeBatchDecode(t *testing.T) {
+	want := broadcastAccesses(777)
+	var buf bytes.Buffer
+	if _, err := WriteAll(&buf, FromSlice(want), 0); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroadcast(NewReader(bytes.NewReader(buf.Bytes())), 256, 1, 0)
+	b.Stop()
+	if b.dec.fast == nil {
+		t.Fatal("Broadcast over *Reader did not take the BatchSource fast path")
+	}
+	got, err := drainSized(t, NewReader(bytes.NewReader(buf.Bytes())), 256)
+	if err != nil {
+		t.Fatalf("Err = %v", err)
+	}
+	wantSame(t, got, want, 0)
+}
+
+// TestBatcherSurfacesDecodeError: a record truncated mid-way ends the
+// stream short of the whole trace and surfaces through Err.
+func TestBatcherSurfacesDecodeError(t *testing.T) {
+	in := broadcastAccesses(100)
+	var buf bytes.Buffer
+	if _, err := WriteAll(&buf, FromSlice(in), 0); err != nil {
+		t.Fatal(err)
+	}
+	truncated := buf.Bytes()[:buf.Len()-3]
+	got, err := drainSized(t, NewReader(bytes.NewReader(truncated)), 32)
+	if len(got) >= len(in) {
+		t.Fatalf("decoded %d accesses from a truncated trace", len(got))
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Err = %v, want unexpected EOF", err)
+	}
 }
 
 func TestBroadcastSliceZeroCopy(t *testing.T) {
@@ -188,6 +264,33 @@ func TestBroadcastAllStopEarly(t *testing.T) {
 	b.Stop()
 	if src.pos == len(src.accesses) {
 		t.Error("decoder drained the whole stream despite every subscriber stopping")
+	}
+}
+
+// TestBroadcastStopEndsDecode: once the last subscriber stops, the decoder
+// finishes at most the batch it is filling and one more it was already
+// waiting to fill, however long the source is. Many rounds, because the
+// decoder's pace relative to Stop varies from round to round.
+func TestBroadcastStopEndsDecode(t *testing.T) {
+	const size = 64
+	for round := 0; round < 200; round++ {
+		var reads atomic.Int64
+		src := Func(func() (Access, bool) {
+			reads.Add(1)
+			return Access{Size: 1}, true
+		})
+		b := NewBroadcast(src, size, 1, ReadAheadSlabs)
+		sub := b.Sub(0)
+		for i := 0; i < 3; i++ {
+			if _, ok := sub.Next(); !ok {
+				t.Fatal("endless source ran dry")
+			}
+		}
+		before := reads.Load()
+		b.Stop()
+		if extra := reads.Load() - before; extra > 2*size {
+			t.Fatalf("round %d: decoder read %d accesses after Stop, want <= %d", round, extra, 2*size)
+		}
 	}
 }
 

@@ -190,7 +190,7 @@ func record(head byte, addr, gap, data uint64) Access {
 }
 
 // ReadBatch decodes up to len(dst) accesses into dst and returns how many it
-// produced. It implements BatchSource: a Batcher over a Reader decodes whole
+// produced. It implements BatchSource: a Broadcast over a Reader decodes whole
 // batches with one call instead of one interface dispatch per access. A
 // short or zero count means end of trace or a decode error — check Err.
 func (tr *Reader) ReadBatch(dst []Access) int {

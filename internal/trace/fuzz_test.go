@@ -44,11 +44,13 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-// FuzzBatcher feeds arbitrary bytes through the batched decode path: it must
-// never panic, and for every batch size it must agree access-for-access (and
-// error-for-error) with the one-shot ReadAll over the same bytes — the
-// differential guarantee the streaming pipeline rests on.
-func FuzzBatcher(f *testing.F) {
+// FuzzBroadcast feeds arbitrary bytes through the batched decode path every
+// run loop takes, a one-subscriber Broadcast over a Reader: it must never
+// panic, every batch must be 1 to size accesses long, and for every batch
+// size it must agree access-for-access (and error-for-error) with the
+// one-shot ReadAll over the same bytes — the differential guarantee the
+// streaming pipeline rests on.
+func FuzzBroadcast(f *testing.F) {
 	var seed bytes.Buffer
 	if _, err := WriteAll(&seed, FromSlice(sampleAccesses(16)), 0); err != nil {
 		f.Fatal(err)
@@ -62,19 +64,7 @@ func FuzzBatcher(f *testing.F) {
 		oneShot, oneErr := ReadAll(bytes.NewReader(data))
 
 		size := int(sizeByte%64) + 1
-		b := NewBatcher(NewReader(bytes.NewReader(data)), size)
-		var streamed []Access
-		for {
-			batch, ok := b.Next()
-			if !ok {
-				break
-			}
-			if len(batch) == 0 || len(batch) > size {
-				t.Fatalf("batch length %d outside (0, %d]", len(batch), size)
-			}
-			streamed = append(streamed, batch...)
-		}
-		batchErr := b.Err()
+		streamed, batchErr := drainSized(t, NewReader(bytes.NewReader(data)), size)
 
 		if (oneErr == nil) != (batchErr == nil) {
 			t.Fatalf("error divergence: one-shot %v vs batched %v", oneErr, batchErr)
@@ -89,9 +79,6 @@ func FuzzBatcher(f *testing.F) {
 			if streamed[i] != oneShot[i] {
 				t.Fatalf("access %d: batched %v vs one-shot %v", i, streamed[i], oneShot[i])
 			}
-		}
-		if b.Count() != uint64(len(streamed)) {
-			t.Fatalf("Count %d != %d accesses yielded", b.Count(), len(streamed))
 		}
 	})
 }

@@ -89,3 +89,48 @@ func TestAutoReaderEmptyInput(t *testing.T) {
 		t.Error("empty input should fail header validation")
 	}
 }
+
+func TestNewAnyReaderSniffsAllFramings(t *testing.T) {
+	in := sampleAccesses(50)
+	// Text framing zeroes read data (documented lossy field); align the
+	// fixture so all three framings decode identically.
+	for i := range in {
+		if in[i].Kind == Read {
+			in[i].Data = 0
+		}
+	}
+
+	var binBuf, gzBuf, txtBuf bytes.Buffer
+	if _, err := WriteAll(&binBuf, FromSlice(in), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteAllAuto(&gzBuf, FromSlice(in), 0, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteText(&txtBuf, in); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, data := range map[string][]byte{
+		"binary": binBuf.Bytes(),
+		"gzip":   gzBuf.Bytes(),
+		"text":   txtBuf.Bytes(),
+	} {
+		r, err := NewAnyReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := Collect(r, 0)
+		if r.Err() != nil {
+			t.Fatalf("%s: %v", name, r.Err())
+		}
+		if len(got) != len(in) {
+			t.Fatalf("%s: got %d accesses, want %d", name, len(got), len(in))
+		}
+		for i := range in {
+			if got[i] != in[i] {
+				t.Fatalf("%s: access %d = %v, want %v", name, i, got[i], in[i])
+			}
+		}
+	}
+}

@@ -85,3 +85,41 @@ func TestParseTextEmpty(t *testing.T) {
 		t.Fatalf("empty parse: %v, %v", got, err)
 	}
 }
+
+func TestTextReaderStreamsAndMatchesParseText(t *testing.T) {
+	src := "# header comment\nR 0x1000 8\nW 0x1008 8 0x2a gap=3\n\nW 0x1010 4 42\n"
+	want, err := ParseText(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTextReader(strings.NewReader(src))
+	got, err := drainSized(t, tr, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d accesses, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("access %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestTextReaderSurfacesParseError(t *testing.T) {
+	tr := NewTextReader(strings.NewReader("R 0x1000 8\nbogus line\nR 0x2000 8\n"))
+	var n int
+	for {
+		if _, ok := tr.Next(); !ok {
+			break
+		}
+		n++
+	}
+	if n != 1 {
+		t.Fatalf("decoded %d accesses before the bad line, want 1", n)
+	}
+	if tr.Err() == nil || !strings.Contains(tr.Err().Error(), "line 2") {
+		t.Fatalf("Err = %v, want a line-2 parse error", tr.Err())
+	}
+}

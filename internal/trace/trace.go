@@ -90,7 +90,7 @@ func (s *SliceStream) Next() (Access, bool) {
 func (s *SliceStream) Reset() { s.pos = 0 }
 
 // nextBatch advances past up to n accesses and returns them as a subslice of
-// the backing array — the Batcher's zero-copy path for materialized traces.
+// the backing array — the decoder's zero-copy path for materialized traces.
 // Callers must treat the result as read-only.
 func (s *SliceStream) nextBatch(n int) []Access {
 	if s.pos >= len(s.accesses) {

@@ -60,38 +60,27 @@ func nextLoopErr(data []byte) string {
 	}
 }
 
-// requireSameDecode drains data through a Batcher over a Reader, the
-// ReadBatch path, in lockstep with a plain Next loop over the same bytes,
-// and requires the same accesses, count and error text.
+// requireSameDecode drains data through a one-subscriber Broadcast over a
+// Reader, the ReadBatch path every run loop takes, and a plain Next loop
+// over the same bytes, and requires the same accesses and error text.
 func requireSameDecode(t *testing.T, label string, data []byte, sizes ...int) {
 	t.Helper()
 	for _, size := range sizes {
+		got, err := drainSized(t, NewReader(bytes.NewReader(data)), size)
 		ref := NewReader(bytes.NewReader(data))
-		b := NewBatcher(NewReader(bytes.NewReader(data)), size)
-		var n uint64
-		for {
-			batch, ok := b.Next()
+		for n, a := range got {
+			want, ok := ref.Next()
 			if !ok {
-				break
+				t.Fatalf("%s batch %d: access %d past the Next loop's end", label, size, n)
 			}
-			for _, got := range batch {
-				want, ok := ref.Next()
-				if !ok {
-					t.Fatalf("%s batch %d: access %d past the Next loop's end", label, size, n)
-				}
-				if got != want {
-					t.Fatalf("%s batch %d: access %d = %+v, Next loop %+v", label, size, n, got, want)
-				}
-				n++
+			if a != want {
+				t.Fatalf("%s batch %d: access %d = %+v, Next loop %+v", label, size, n, a, want)
 			}
 		}
 		if _, ok := ref.Next(); ok {
-			t.Fatalf("%s batch %d: ended after %d accesses, Next loop goes on", label, size, n)
+			t.Fatalf("%s batch %d: ended after %d accesses, Next loop goes on", label, size, len(got))
 		}
-		if b.Count() != n {
-			t.Fatalf("%s batch %d: Count %d after %d accesses", label, size, b.Count(), n)
-		}
-		if got, want := fmt.Sprint(b.Err()), fmt.Sprint(ref.Err()); got != want {
+		if got, want := fmt.Sprint(err), fmt.Sprint(ref.Err()); got != want {
 			t.Fatalf("%s batch %d: Err %q, Next loop %q", label, size, got, want)
 		}
 	}

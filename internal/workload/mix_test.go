@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -82,12 +83,16 @@ func TestMixTruncatesWriteGroups(t *testing.T) {
 	names := []string{"bwaves", "lbm"}
 	const n, quantum = 100_000, 20
 	cfg := cache.DefaultConfig()
+	runBoth := func(accs []trace.Access) ([]core.Result, error) {
+		open := func() (trace.Stream, error) { return trace.FromSlice(accs), nil }
+		return core.RunEachStreamSerial(context.Background(), []core.Kind{core.RMW, core.WG}, cfg, core.Options{}, open, 0, 0)
+	}
 
 	soloSum := 0.0
 	for _, name := range names {
 		g, _ := Stream(name, 1)
 		accs := trace.Collect(trace.NewLimit(g, n), 0)
-		res, err := core.RunAll([]core.Kind{core.RMW, core.WG}, cfg, core.Options{}, accs)
+		res, err := runBoth(accs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +105,7 @@ func TestMixTruncatesWriteGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixed := trace.Collect(trace.NewLimit(m, n), 0)
-	res, err := core.RunAll([]core.Kind{core.RMW, core.WG}, cfg, core.Options{}, mixed)
+	res, err := runBoth(mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +114,7 @@ func TestMixTruncatesWriteGroups(t *testing.T) {
 		t.Errorf("mixing did not hurt WG: mixed %.3f vs solo mean %.3f", mixRed, soloMean)
 	}
 
-	deep, err := core.Run(core.WG, cfg, core.Options{BufferDepth: 4}, trace.FromSlice(mixed), 0)
+	deep, err := core.RunStreamContext(context.Background(), core.WG, cfg, core.Options{BufferDepth: 4}, trace.FromSlice(mixed), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
